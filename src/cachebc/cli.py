@@ -227,7 +227,6 @@ def cmd_simulate(args) -> tuple[int, str]:
     payload = report.to_dict()
     # wall-clock goes to stderr so stdout stays byte-identical per seed
     elapsed = payload.pop("elapsed_s")
-    payload["codec_slack_packets"] = args.slack
     print(f"elapsed_s: {elapsed:.3f}", file=sys.stderr)
     return EXIT_OK, _emit(payload)
 
@@ -290,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--demand-cap", type=int, default=DEFAULT_DEMAND_CAP)
     sp.add_argument("--threads", type=int, default=None, help="defaults to $CACHEBC_THREADS or 1")
-    sp.add_argument("--margin", type=float, default=1.0)
-    sp.add_argument("--slack", type=int, default=32, help="codec rank-slack packets (reporting)")
     sp.set_defaults(fn=cmd_simulate)
     return p
 

@@ -110,8 +110,8 @@ class SystemConfig:
 
     * ``deltas`` is nonincreasing with entries in [0, 1]; receiver 1 is the
       weakest.
-    * rates and memories are nonnegative, one rate per message and one cache
-      budget per receiver.
+    * rates and memories are finite and nonnegative, one rate per message and
+      one cache budget per receiver.
     * ``n`` (blocklength, channel uses) is only needed for simulation and may
       be left unset for pure region queries.
     """
@@ -174,15 +174,15 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     if len(cfg.rates) != cfg.D:
         raise ConfigError(f"rates must have D={cfg.D} entries, got {len(cfg.rates)}")
     for r in cfg.rates:
-        if r < 0 or math.isnan(r):
-            raise ConfigError(f"rates entries must be >= 0, got {r}")
+        if not (math.isfinite(r) and r >= 0):
+            raise ConfigError(f"rates entries must be finite and >= 0, got {r}")
     if len(cfg.memories) != cfg.K:
         raise ConfigError(
             f"memories must have K={cfg.K} entries, got {len(cfg.memories)}"
         )
     for m in cfg.memories:
-        if m < 0 or math.isnan(m):
-            raise ConfigError(f"memories entries must be >= 0, got {m}")
+        if not (math.isfinite(m) and m >= 0):
+            raise ConfigError(f"memories entries must be finite and >= 0, got {m}")
     if cfg.n is not None and (not isinstance(cfg.n, int) or cfg.n < 1):
         raise ConfigError(f"n must be a positive integer when given, got {cfg.n!r}")
     cfg.demand_set.validate(cfg.K, cfg.D)

@@ -2,8 +2,10 @@
 
 Closed forms for the two-receiver tradeoffs, the K-receiver feasibility
 conditions of the subset-caching scheme, a first-principles per-phase LP
-oracle for the same scheme, the time-sharing decomposition for unequal cache
-sizes, and the exact membership test for the single-common-demand region.
+oracle for the same scheme, the time sharing of that scheme across cache
+layers for unequal cache sizes (one exact LP for each tuple of per-layer
+subset sizes t, enumerated), and the exact membership test for the
+single-common-demand region.
 
 All LPs are small and dense; they are solved in floating point (HiGHS) with a
 feasibility tolerance of 1e-9.
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .model import ConfigError, SystemConfig
@@ -217,7 +220,8 @@ def _as_piggyback_matrix(C, K0: int, ntail: int) -> np.ndarray:
 
 def general_conditions_feasible(cfg: SystemConfig, K0, t, R, M, C=None, tol=TOL) -> bool:
     """Evaluate the published closed-form feasibility conditions of the
-    subset-caching scheme, exactly as stated (no phase-fraction variables).
+    subset-caching scheme, exactly as stated (no phase-fraction variables):
+    the point x = [R, C...] must satisfy every row of _printed_conditions_lp.
 
     Cache pattern: the K0 weakest receivers hold equal caches M, the rest
     none.  ``C[k-1][ktilde-K0-1]`` are the piggyback rates.  Note these
@@ -225,34 +229,13 @@ def general_conditions_feasible(cfg: SystemConfig, K0, t, R, M, C=None, tol=TOL)
     LP oracle (phase_lp_max_rate) is the operational ground truth and the
     two are audited against each other.
     """
-    K, D, F = cfg.K, cfg.D, cfg.F
-    _check_k0_t(K, K0, t)
+    _check_k0_t(cfg.K, K0, t)
     if M < 0 or R < 0:
         raise ConfigError("R and M must be >= 0")
-    C = _as_piggyback_matrix(C, K0, K - K0)
-    r_c = M / (D * math.comb(K0 - 1, t - 1))
-    tau = math.comb(K0, t)
-    bulk = M * K0 / (D * t)
-
-    def gap(k):  # cached-in-earlier-groups rate credited to phase k
-        return r_c * (tau - math.comb(K0 - k, t))
-
-    for k in range(1, K0 - t):  # k in {1 .. K0-t-1}
-        if R > F * (1.0 - cfg.delta(k)) + gap(k) + tol:
-            return False
-        if k + 1 <= K:
-            if R + C[k - 1].sum() > F * (1.0 - cfg.delta(k + 1)) + gap(k) + tol:
-                return False
-    for k in range(max(1, K0 - t), K0 + 1):  # k in {K0-t .. K0}
-        if R > F * (1.0 - cfg.delta(k)) + bulk + tol:
-            return False
-        if k + 1 <= K:  # vacuous at k = K0 = K: no stronger receiver exists
-            if R + C[k - 1].sum() > F * (1.0 - cfg.delta(k + 1)) + bulk + tol:
-                return False
-    for kt in range(K0 + 1, K + 1):
-        if R - C[:, kt - K0 - 1].sum() > F * (1.0 - cfg.delta(kt)) + tol:
-            return False
-    return True
+    C = _as_piggyback_matrix(C, K0, cfg.K - K0)
+    A, b, _, _ = _printed_conditions_lp(cfg, K0, t, M)
+    x = np.concatenate(([R], C.ravel()))
+    return bool((A @ x <= b + tol).all())
 
 
 @dataclass(frozen=True)
@@ -485,6 +468,18 @@ def _phase_lp_rows(cfg: SystemConfig, K0: int, t: int):
     )
 
 
+def _max_rate_bounds(cfg: SystemConfig, K0: int, t: int, M: float, ntail: int) -> list:
+    """Variable bounds of the max-rate phase LP: the cached rate per fragment
+    fits in memory M, and the slack variable is pinned to zero."""
+    rc_cap = M / (cfg.D * math.comb(K0 - 1, t - 1))
+    return [(0, None), (0, rc_cap)] + [(0, 1)] * cfg.K + [(0, None)] * (K0 * ntail) + [(0, 0)]
+
+
+def _subset_sizes(K0: int) -> range:
+    """The subset sizes t the scheme allows with K0 cached receivers."""
+    return range(1, max(K0, 2))
+
+
 def _extract_phase_result(cfg, K0, t, x, ix, slack=0.0) -> PhaseLpResult:
     K = cfg.K
     ntail = ix["ntail"]
@@ -517,15 +512,11 @@ def phase_lp_max_rate(cfg: SystemConfig, K0, M, t) -> PhaseLpResult:
     ``cached_rate_per_fragment`` reports what is actually used, which keeps
     the maximum rate nondecreasing in M.
     """
-    K, D = cfg.K, cfg.D
-    _check_k0_t(K, K0, t, allow_k0_1=True)
+    _check_k0_t(cfg.K, K0, t, allow_k0_1=True)
     if M < 0:
         raise ConfigError("M must be >= 0")
     A, b, A_eq, b_eq, nv, ix = _phase_lp_rows(cfg, K0, t)
-    rc_cap = M / (D * math.comb(K0 - 1, t - 1))
-    bounds = [(0, None), (0, rc_cap)] + [(0, 1)] * cfg.K
-    bounds += [(0, None)] * (K0 * ix["ntail"])
-    bounds += [(0, 0)]  # slack variable pinned to zero for the max-rate LP
+    bounds = _max_rate_bounds(cfg, K0, t, M, ix["ntail"])
     c = np.zeros(nv)
     c[ix["R"]] = -1.0
     res = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
@@ -594,8 +585,7 @@ def max_min_slack_assignment(
 def best_phase_lp_rate(cfg: SystemConfig, K0, M) -> PhaseLpResult:
     """phase_lp_max_rate maximized over the subset size t (smallest t wins ties)."""
     best = None
-    ts = [1] if K0 == 1 else range(1, K0)
-    for t in ts:
+    for t in _subset_sizes(K0):
         try:
             res = phase_lp_max_rate(cfg, K0, M, t)
         except OutOfRegimeError:
@@ -616,89 +606,48 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
     """Best symmetric rate for nonincreasing per-receiver cache sizes.
 
     Layer i (i = 1..K) runs the equal-cache scheme on the K0 = K+1-i weakest
-    receivers for a fraction beta_i of the time with per-receiver memory
-    (M_{K-i+1} - M_{K-i+2}) / beta_i, so layer budgets telescope to the given
-    memories.  Each layer is scored by the per-phase LP oracle; the outer
-    maximization over the simplex is a concave program handled by grid +
-    golden-section (K = 2) or multi-start projected search (K > 2).
+    receivers for a share gamma_i of the time with per-receiver memory
+    (M_{K-i+1} - M_{K-i+2}) / gamma_i, so layer budgets telescope to the given
+    memories.  Every row of the per-phase LP is homogeneous, so a layer's
+    time-scaled rate gamma_i * R_i(dm_i / gamma_i) is the perspective of that
+    LP: the same rows over variables scaled by gamma_i, with the phase
+    fractions summing to gamma_i and the cached rate per fragment capped by
+    dm_i / (D * C(K0-1, t-1)).  For one subset size t per layer the split of
+    the time is therefore one exact LP over all layers, whose phase fractions
+    sum to 1; the result is the best such LP over every tuple of t.
     """
     K = cfg.K
     mems = list(cfg.memories if memories is None else [float(m) for m in memories])
     if len(mems) != K:
         raise ConfigError(f"memories must have K={K} entries")
+    if not all(math.isfinite(m) and m >= 0 for m in mems):
+        raise ConfigError(f"memories must be finite and >= 0: {mems}")
     for a, b in zip(mems, mems[1:]):
         if b > a + 1e-12:
             raise ConfigError(f"memories not nonincreasing: {mems}")
     mems = mems + [0.0]
-    deltas_mem = [mems[K - i] - mems[K - i + 1] for i in range(1, K + 1)]  # per layer
+    # (K0, memory) per layer; layer i serves the K0 = K+1-i weakest receivers
+    layers = [(K + 1 - i, mems[K - i] - mems[K - i + 1]) for i in range(1, K + 1)]
 
-    rate_cache: dict[tuple[int, float], float] = {}
-
-    def layer_rate(K0: int, m: float) -> float:
-        key = (K0, round(m, 12))
-        if key not in rate_cache:
-            rate_cache[key] = best_phase_lp_rate(cfg, K0, m).rate
-        return rate_cache[key]
-
-    def total(beta: np.ndarray) -> float:
-        # a vanishing share contributes nothing; any memory assigned to it
-        # is simply wasted (allowed, the rate stays monotone)
-        val = 0.0
-        for i in range(K):
-            bi, dm = beta[i], deltas_mem[i]
-            K0_i = K - i
-            if bi <= 1e-12:
-                continue
-            val += bi * layer_rate(K0_i, dm / bi)
-        return val
-
-    if K == 2:
-        # scalar concave maximization over beta_1
-        def g(b1):
-            return total(np.array([b1, 1.0 - b1]))
-
-        xs = np.linspace(0.0, 1.0, 101)
-        vals = [g(x) for x in xs]
-        j = int(np.argmax(vals))
-        lo = xs[max(0, j - 1)]
-        hi = xs[min(len(xs) - 1, j + 1)]
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a_, b_ = lo, hi
-        x1 = b_ - phi * (b_ - a_)
-        x2 = a_ + phi * (b_ - a_)
-        f1, f2 = g(x1), g(x2)
-        for _ in range(120):
-            if f1 < f2:
-                a_, x1, f1 = x1, x2, f2
-                x2 = a_ + phi * (b_ - a_)
-                f2 = g(x2)
-            else:
-                b_, x2, f2 = x2, x1, f1
-                x1 = b_ - phi * (b_ - a_)
-                f1 = g(x1)
-        return max(max(vals), f1, f2)
-
-    # coarse simplex grid plus local refinement
-    steps = 6
     best = -math.inf
-    for comp in itertools.product(range(steps + 1), repeat=K - 1):
-        if sum(comp) > steps:
-            continue
-        beta = np.array([c / steps for c in comp] + [(steps - sum(comp)) / steps])
-        best = max(best, total(beta))
-    from scipy.optimize import minimize
-
-    for start in (np.full(K, 1.0 / K),):
-        res = minimize(
-            lambda x: -total(np.clip(x, 0.0, 1.0) / max(np.sum(np.clip(x, 0.0, 1.0)), 1e-12)),
-            start,
-            method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-10},
+    for ts in itertools.product(*(_subset_sizes(K0) for K0, _ in layers)):
+        blocks = [_phase_lp_rows(cfg, K0, t) for (K0, _), t in zip(layers, ts)]
+        bounds, c = [], []
+        for (K0, dm), t, (_, _, _, _, nv, ix) in zip(layers, ts, blocks):
+            bounds += _max_rate_bounds(cfg, K0, t, dm, ix["ntail"])
+            c += [-1.0 if j == ix["R"] else 0.0 for j in range(nv)]
+        res = linprog(
+            c,
+            A_ub=block_diag(*(blk[0] for blk in blocks)),
+            b_ub=np.concatenate([blk[1] for blk in blocks]),
+            A_eq=np.hstack([blk[2] for blk in blocks]),
+            b_eq=[1.0],
+            bounds=bounds,
+            method="highs",
         )
-        x = np.clip(res.x, 0.0, 1.0)
-        s = x.sum()
-        if s > 1e-12:
-            best = max(best, total(x / s))
+        if not res.success:
+            raise OutOfRegimeError(f"time-sharing LP infeasible for subset sizes {ts}")
+        best = max(best, -res.fun)
     return best
 
 

@@ -97,10 +97,6 @@ class SchedulePhase:
     def payload_bits(self) -> int:
         return sum(it.padded_bits for it in self.items)
 
-    @property
-    def block_count(self) -> int:
-        return self.payload_bits  # divided by F by callers that need blocks
-
 
 @dataclass(frozen=True)
 class PhaseSchedule:

@@ -536,11 +536,20 @@ class SimulationReport:
         }
 
 
-def _default_threads() -> int:
+def _worker_count(threads: int | None) -> int:
+    """``threads`` if given, else $CACHEBC_THREADS, else 1; anything but a
+    positive integer is rejected."""
+    if threads is not None:
+        if isinstance(threads, int) and threads >= 1:
+            return threads
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
+    raw = os.environ.get("CACHEBC_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("CACHEBC_THREADS", "1")))
+        if int(raw) >= 1:
+            return int(raw)
     except ValueError:
-        return 1
+        pass
+    raise ConfigError(f"CACHEBC_THREADS must be a positive integer, got {raw!r}")
 
 
 def estimate_pe(
@@ -563,6 +572,7 @@ def estimate_pe(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    workers = _worker_count(threads)
     t0 = time.perf_counter()
     plan = params if isinstance(params, SchemePlan) else plan_scheme(cfg, scheme, backoff, params)
     size = cfg.demand_set.size(cfg.K, cfg.D)
@@ -583,7 +593,6 @@ def estimate_pe(
         di, j = job
         return job, run_trial(cfg, scheme, plan, demands[di], [seed, di, j])
 
-    workers = threads if threads is not None else _default_threads()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(one, jobs))

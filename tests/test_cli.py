@@ -167,3 +167,9 @@ def test_simulate_json_and_byte_identical(capsys, sim_cfg):
     payload = json.loads(out1)
     assert payload["pe_hat"] == 0.0
     assert "elapsed_s" not in payload  # wall clock goes to stderr
+
+
+def test_simulate_rejects_removed_flags(sim_cfg):
+    base = ["simulate", "--config", sim_cfg, "--scheme", "joint-2rx", "--trials", "1"]
+    assert main(base + ["--margin", "2"]) == 2
+    assert main(base + ["--slack", "8"]) == 2

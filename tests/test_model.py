@@ -44,7 +44,9 @@ def test_noiseless_boundary_accepted():
         ("deltas", [0.8], "deltas"),
         ("rates", [1.0, -0.1, 1.0], "rates"),
         ("rates", [1.0], "rates"),
+        ("rates", [1.0, float("inf"), 1.0], "rates"),
         ("memories", [-1.0, 0.0], "memories"),
+        ("memories", [float("inf"), 0.0], "memories"),
         ("n", 0, "n"),
     ],
 )
@@ -58,6 +60,16 @@ def test_json_round_trip():
     assert config_from_json(config_to_json(cfg)) == cfg
     cfg2 = make(demand_set=DemandSet(kind="explicit-list", tuples=((1, 2), (3, 3))))
     assert config_from_json(config_to_json(cfg2)) == cfg2
+
+
+@pytest.mark.parametrize("field", ["rates", "memories"])
+def test_non_finite_json_rejected(field):
+    obj = json.loads(config_to_json(make()))
+    obj[field][0] = float("inf")
+    text = json.dumps(obj)
+    assert "Infinity" in text  # Python's json writes and parses this token
+    with pytest.raises(ConfigError, match=field):
+        config_from_json(text)
 
 
 def test_unknown_keys_rejected():

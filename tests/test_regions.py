@@ -5,7 +5,9 @@ in this file (scipy linprog feasibility/optimization written directly from
 the defining inequalities) before being asserted against the closed forms.
 """
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +225,19 @@ def test_general_max_rate_deterministic(cfg_3rx):
     assert a == b
 
 
+def test_conditions_hold_exactly_at_published_optimum(cfg_3rx):
+    rng = np.random.default_rng(43)
+    cases = [(cfg_3rx, 2, 0.3), (cfg_3rx, 3, 0.1)]
+    for K in (3, 4, 4):
+        cfg = random_unequal_cfg(rng, K)
+        cases.append((cfg, int(rng.integers(2, K + 1)), float(rng.uniform(0, 0.5))))
+    for cfg, K0, M in cases:
+        res = general_max_symmetric_rate(cfg, K0, M)
+        C = res.piggyback_array()
+        assert general_conditions_feasible(cfg, K0, res.t, res.rate, M, C)
+        assert not general_conditions_feasible(cfg, K0, res.t, res.rate + 1e-6, M, C)
+
+
 def test_printed_conditions_never_below_phase_lp(cfg_3rx):
     """Setting every phase fraction to 1 relaxes the per-phase system, so the
     published bound dominates the explicit-fraction oracle everywhere."""
@@ -306,6 +321,95 @@ def test_unequal_empty_and_equal_caches(cfg_2rx):
 def test_unequal_ordering_error(cfg_2rx):
     with pytest.raises(ConfigError, match="nonincreasing"):
         unequal_cache_max_rate(cfg_2rx, [0.0, 2.0])
+    for bad in ([math.nan, 0.0], [1.0, -0.5]):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            unequal_cache_max_rate(cfg_2rx, bad)
+
+
+def random_unequal_cfg(rng, K):
+    deltas = sorted(rng.uniform(0.1, 0.9, K), reverse=True)
+    memories = sorted(rng.uniform(0.0, 0.6 * K, K), reverse=True)
+    return SystemConfig(K=K, D=K, F=1, deltas=deltas, rates=[1.0] * K, memories=memories)
+
+
+def time_shared_rate(cfg, beta):
+    """Layer i (K0 = K+1-i) runs for a share beta_i with memory dm_i / beta_i,
+    scored by the per-phase LP at its best t; a layer without time adds 0."""
+    K = cfg.K
+    mems = list(cfg.memories) + [0.0]
+    total = 0.0
+    for i in range(1, K + 1):
+        if beta[i - 1] > 1e-12:
+            dm = mems[K - i] - mems[K - i + 1]
+            total += beta[i - 1] * best_phase_lp_rate(cfg, K + 1 - i, dm / beta[i - 1]).rate
+    return total
+
+
+def best_two_layer_split(cfg):
+    """Maximum over beta_1 of the concave K=2 time-sharing rate: a dense grid,
+    then golden section inside the bracket of the best grid point."""
+    g = lambda b1: time_shared_rate(cfg, (b1, 1.0 - b1))
+    xs = np.linspace(0.0, 1.0, 201)
+    vals = [g(x) for x in xs]
+    j = int(np.argmax(vals))
+    lo, hi = xs[max(0, j - 1)], xs[min(len(xs) - 1, j + 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
+        if g(x1) < g(x2):
+            lo = x1
+        else:
+            hi = x2
+    return max(max(vals), g((lo + hi) / 2.0))
+
+
+def best_simplex_grid_split(cfg, steps=6):
+    """Best time-sharing rate over the simplex grid with the given step count."""
+    K = cfg.K
+    best = -math.inf
+    for comp in itertools.product(range(steps + 1), repeat=K - 1):
+        if sum(comp) <= steps:
+            beta = [c / steps for c in comp] + [(steps - sum(comp)) / steps]
+            best = max(best, time_shared_rate(cfg, beta))
+    return best
+
+
+def test_unequal_two_rx_equals_split_search(cfg_2rx):
+    rng = np.random.default_rng(31)
+    cfgs = [replace(cfg_2rx, memories=(2.0, 0.5))] + [random_unequal_cfg(rng, 2) for _ in range(2)]
+    for cfg in cfgs:
+        assert unequal_cache_max_rate(cfg) == pytest.approx(best_two_layer_split(cfg), abs=1e-7)
+
+
+def test_unequal_at_least_simplex_grid():
+    rng = np.random.default_rng(37)
+    for K in (3, 3, 4, 4):
+        cfg = random_unequal_cfg(rng, K)
+        assert unequal_cache_max_rate(cfg) >= best_simplex_grid_split(cfg) - 1e-7
+
+
+def test_unequal_at_least_equal_cache_scheme():
+    """Giving every layer but the first no time is the equal-cache scheme
+    at the smallest memory M_K."""
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        cfg = random_unequal_cfg(rng, int(rng.integers(2, 5)))
+        equal = best_phase_lp_rate(cfg, cfg.K, cfg.memories[-1]).rate
+        assert unequal_cache_max_rate(cfg) >= equal - 1e-9
+
+
+def test_unequal_four_rx_frozen_optimum():
+    """A split search (simplex grid plus Nelder-Mead) stops at 0.4069272633
+    here; the exact optimum was frozen from the time-sharing LP."""
+    cfg = SystemConfig(
+        K=4,
+        D=4,
+        F=1,
+        deltas=(0.7649458913994789, 0.5901522612486355, 0.576562372005008, 0.5029473966039238),
+        rates=[1.0] * 4,
+        memories=(2.1529973753040754, 1.4662501324352197, 0.9783268046088177, 0.5950056742117589),
+    )
+    assert unequal_cache_max_rate(cfg) == pytest.approx(0.4074771076, abs=1e-7)
 
 
 # -- common demand ------------------------------------------------------------

@@ -193,3 +193,18 @@ def test_audit_reports_divergence_and_verifies():
     out = audit_conditions(cfg, 2, 0.3, 1)
     assert out["lp_feasible"] and out["verify_ok"]
     assert out["divergence"] > 0.1  # published bound exceeds the oracle here
+
+
+def test_bad_worker_counts_rejected(monkeypatch):
+    def no_pool(*a, **k):
+        raise AssertionError("a worker pool was created")
+
+    monkeypatch.setattr("cachebc.simulate.ThreadPoolExecutor", no_pool)
+    cfg = cfg_joint(n=200)
+    for bad in (0, -2, 1.5):
+        with pytest.raises(ConfigError, match="threads"):
+            estimate_pe(cfg, "joint-2rx", trials=1, threads=bad)
+    for raw in ("two", "0", "-1", ""):
+        monkeypatch.setenv("CACHEBC_THREADS", raw)
+        with pytest.raises(ConfigError, match="CACHEBC_THREADS"):
+            estimate_pe(cfg, "joint-2rx", trials=1)
