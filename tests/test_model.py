@@ -44,10 +44,10 @@ def test_noiseless_boundary_accepted():
         ("deltas", [0.8], "deltas"),
         ("rates", [1.0, -0.1, 1.0], "rates"),
         ("rates", [1.0], "rates"),
-        ("rates", [1.0, float("inf"), 1.0], "rates"),
         ("memories", [-1.0, 0.0], "memories"),
-        ("memories", [float("inf"), 0.0], "memories"),
         ("n", 0, "n"),
+        ("rates", [1.0, float("inf"), 1.0], "rates"),
+        ("memories", [float("inf"), 0.0], "memories"),
     ],
 )
 def test_each_violation_names_the_field(field, value, msg):
