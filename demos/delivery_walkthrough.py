@@ -49,7 +49,7 @@ for k in (1, 2, 3):
 
 demand = (1, 2, 3)
 params = SchemeParameters(K0=2, t=1, beta=lp.beta, piggyback=lp.piggyback)
-sched = build_schedule(cfg, params, layout, demand, library, caches)
+sched = build_schedule(cfg, params, layout, demand, library)
 
 print(f"\nDelivery schedule for demand {demand}:")
 for p, phase in enumerate(sched.phases, start=1):

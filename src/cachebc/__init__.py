@@ -50,7 +50,7 @@ from .schedule import (
     xor_group,
 )
 from .channel import ChannelRealization, transmit
-from .codec import CodedPacket, DecodeResult, coefficient_rows, decode, encode, solve_gf2
+from .codec import DecodeResult, coefficient_rows, solve_gf2
 from .simulate import (
     SCHEMES,
     SchemePlan,

@@ -75,14 +75,19 @@ def _grid(text: str) -> list[float]:
 def cmd_region_check(args) -> tuple[int, str]:
     cfg = load_config(args.config)
     rates = _floats(args.rates) if args.rates else list(cfg.rates)
-    memories = _floats(args.memories) if args.memories else list(cfg.memories)
-    payload = {"scheme": args.scheme, "rates": rates, "memories": memories}
+    # overrides pass validate_config; the degraded scheme's rates are one per
+    # receiver level, not per message, and degraded_region_contains checks them
+    overrides = {"memories": _floats(args.memories)} if args.memories else {}
+    if args.scheme != "degraded":
+        overrides["rates"] = rates
+    cfg = replace(cfg, **overrides)
+    payload = {"scheme": args.scheme, "rates": rates, "memories": list(cfg.memories)}
     if args.scheme == "common":
-        inside, witness = common_demand_contains(cfg, rates, memories, tol=args.tol)
+        inside, witness = common_demand_contains(cfg, tol=args.tol)
         payload["inside"] = inside
         payload["witness"] = [list(map(float, row)) for row in witness] if inside else None
     elif args.scheme == "common-separate":
-        payload["inside"] = common_demand_separate_contains(cfg, rates, memories, tol=args.tol)
+        payload["inside"] = common_demand_separate_contains(cfg, tol=args.tol)
     else:  # degraded
         payload["inside"] = degraded_region_contains(cfg, rates, tol=args.tol)
     return (EXIT_OK if payload["inside"] else EXIT_INFEASIBLE), _emit(payload)
@@ -178,8 +183,8 @@ def cmd_schedule_show(args) -> tuple[int, str]:
     cfg_sim = plan.cfg_sim
     layout = sub_message_layout(cfg_sim, plan.K0, plan.t, plan.layout_memory)
     library = draw_library(cfg_sim, args.seed)
-    caches = build_caches(cfg_sim, library, layout)
-    sched = build_schedule(cfg_sim, plan.params, layout, demand, library, caches)
+    build_caches(cfg_sim, library, layout)  # raises CapacityError on overflow
+    sched = build_schedule(cfg_sim, plan.params, layout, demand, library)
     phases = []
     for p, phase in enumerate(sched.phases, start=1):
         items = [

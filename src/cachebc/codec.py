@@ -17,7 +17,6 @@ separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,24 +30,15 @@ except ImportError:  # pragma: no cover
 from ._seeding import CODEC_STREAM, derived_rng
 
 __all__ = [
-    "CodedPacket",
     "DecodeResult",
     "coefficient_rows",
-    "encode",
-    "decode",
+    "encode_payloads",
     "decode_arrays",
     "solve_gf2",
     "DEFAULT_RANK_SLACK",
 ]
 
 DEFAULT_RANK_SLACK = 32
-
-
-class CodedPacket(NamedTuple):
-    phase_id: int
-    index: int
-    payload: np.ndarray  # (F,) uint8 bits
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -72,16 +62,6 @@ def coefficient_rows(seed, phase_id: int, count: int, B: int) -> np.ndarray:
     return bits[:, :B]
 
 
-def encode(blocks, count: int, phase_id: int, seed) -> list[CodedPacket]:
-    """Generate ``count`` coded packets over the given source blocks."""
-    blocks = np.asarray(blocks, dtype=np.uint8)
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    payloads = encode_payloads(blocks, count, phase_id, seed)
-    s = seed if isinstance(seed, int) else tuple(seed)
-    return [CodedPacket(phase_id, j, payloads[j], s) for j in range(count)]
-
-
 def _gf2_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(A @ X) mod 2 for 0/1 matrices; float32 keeps the products exact
     (inner dimension < 2^24) and routes through BLAS."""
@@ -90,7 +70,8 @@ def _gf2_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def encode_payloads(blocks, count: int, phase_id: int, seed) -> np.ndarray:
-    """Array form of encode: the (count, F) payload matrix."""
+    """The (count, F) payload matrix of ``count`` coded packets over the
+    (B, F) source blocks; row j is packet j."""
     blocks = np.asarray(blocks, dtype=np.uint8)
     B, F = blocks.shape if blocks.ndim == 2 else (0, 0)
     if B == 0:
@@ -243,21 +224,3 @@ def decode_arrays(
     out[unknown_cols] = x
     return DecodeResult(ok=True, blocks=out, rank_deficit=0)
 
-
-def decode(received: list[CodedPacket], known: dict | None, B: int) -> DecodeResult:
-    """Decode a phase from surviving packets plus known-block side
-    information.  Failure is a result (with the rank deficit), never an
-    exception."""
-    if not received:
-        if B == 0 or (known is not None and len(known) >= B):
-            return decode_arrays([], np.zeros((0, 0), np.uint8), B, 0, 0, known)
-        return DecodeResult(ok=False, blocks=None, rank_deficit=B - len(known or {}))
-    phase_ids = {p.phase_id for p in received}
-    seeds = {p.seed for p in received}
-    if len(phase_ids) != 1 or len(seeds) != 1:
-        raise ValueError("received packets must come from a single phase")
-    indices = [p.index for p in received]
-    payloads = np.stack([p.payload for p in received])
-    return decode_arrays(
-        indices, payloads, B, phase_ids.pop(), seeds.pop(), known
-    )

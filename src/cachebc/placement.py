@@ -87,6 +87,11 @@ class SubMessageLayout:
     def piece_offset(self, i: int) -> int:
         return sum(self.piece_bits[:i])
 
+    def position(self, d: int, i: int, a: int = 0) -> int:
+        """Index of bit a of fragment i of message d in the library laid out
+        message after message."""
+        return (d - 1) * self.message_bits + self.piece_offset(i) + a
+
     def pieces_cached_at(self, k: int) -> list[int]:
         return [i for i, s in enumerate(self.subsets) if k in s]
 

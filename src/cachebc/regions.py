@@ -76,8 +76,8 @@ def degraded_region_contains(
     r = [float(x) for x in rates_by_level]
     if len(r) != cfg.K:
         raise ConfigError(f"rates_by_level must have K={cfg.K} entries")
-    if any(x < 0 for x in r):
-        raise ConfigError("rates_by_level entries must be >= 0")
+    if not all(math.isfinite(x) and x >= 0 for x in r):
+        raise ConfigError(f"rates_by_level entries must be finite and >= 0, got {r}")
     total = 0.0
     for k in range(1, cfg.K + 1):
         rk = r[k - 1]
@@ -629,8 +629,10 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
     # (K0, memory) per layer; layer i serves the K0 = K+1-i weakest receivers
     layers = [(K + 1 - i, mems[K - i] - mems[K - i + 1]) for i in range(1, K + 1)]
 
+    # a layer without memory caps r_c at 0, so its t cannot change the rate
+    sizes = [_subset_sizes(K0) if dm > 0 else (1,) for K0, dm in layers]
     best = -math.inf
-    for ts in itertools.product(*(_subset_sizes(K0) for K0, _ in layers)):
+    for ts in itertools.product(*sizes):
         blocks = [_phase_lp_rows(cfg, K0, t) for (K0, _), t in zip(layers, ts)]
         bounds, c = [], []
         for (K0, dm), t, (_, _, _, _, nv, ix) in zip(layers, ts, blocks):

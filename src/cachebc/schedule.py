@@ -18,7 +18,14 @@ Piggyback slices are assigned disjoint bit ranges.  Amounts per (phase,
 fragment) come from an exact max-flow over the eligibility structure (a
 greedy split can strand bits when fragments are shared by several phases,
 i.e. t >= 2); within a fragment, positions are handed out in fragment order,
-earliest bits first.
+earliest bits first.  The amounts depend only on the layout and the scheme
+parameters, so ``piggyback_grants`` computes them once for any number of
+demands.
+
+The schedule's structure does not depend on the library bits:
+``index_schedule`` gives every payload bit as the library positions whose
+XOR it is (see ``PhaseIndex``), and ``build_schedule`` gathers those
+positions from one library into ``PayloadItem`` bits.
 
 Verification mirrors the per-phase LP accounting: piggyback bits count as
 known only at the phase owner (the extra knowledge other cached receivers
@@ -37,25 +44,37 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .model import ConfigError, SchemeParameters, SystemConfig, validate_demand
-from .placement import CacheContents, SubMessageLayout
+from .placement import SubMessageLayout
 
 __all__ = [
+    "PAD",
     "PayloadItem",
     "SchedulePhase",
     "PhaseSchedule",
+    "ItemIndex",
+    "PhaseIndex",
+    "flat_library",
+    "gather_bits",
     "xor_group",
+    "piggyback_grants",
+    "index_schedule",
     "build_schedule",
     "receiver_unknown_bits",
     "verify_schedule",
     "VerifyReport",
 ]
 
+PAD = -1  # position of the zero bit that flat_library appends
 
-def _padded(F: int, bits: np.ndarray) -> np.ndarray:
-    extra = (-len(bits)) % F
-    if extra == 0:
-        return np.asarray(bits, dtype=np.uint8)
-    return np.concatenate([np.asarray(bits, dtype=np.uint8), np.zeros(extra, np.uint8)])
+
+def flat_library(library) -> np.ndarray:
+    """The messages back to back, followed by the zero bit at ``PAD``."""
+    return np.concatenate([np.asarray(m, dtype=np.uint8) for m in library] + [np.zeros(1, np.uint8)])
+
+
+def gather_bits(flat: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Bit j is the XOR of ``flat`` at the positions in row j of ``gather``."""
+    return np.bitwise_xor.reduce(flat[gather], axis=1)
 
 
 @dataclass(frozen=True)
@@ -113,6 +132,38 @@ class PhaseSchedule:
         return sum(p.budget_uses for p in self.phases)
 
 
+@dataclass(frozen=True)
+class ItemIndex:
+    """A payload item without its bits: rows ``start:stop`` of its phase's
+    gather map."""
+
+    kind: str
+    constituents: tuple[tuple[int, int, int, int], ...]
+    known_to: frozenset[int]
+    owner: int | None
+    start: int
+    stop: int
+
+
+@dataclass(frozen=True)
+class PhaseIndex:
+    """One phase of the schedule as library positions.
+
+    ``gather`` has one row per payload bit and t+1 columns when the phase
+    carries XOR groups, else one.  Row j lists the flat library positions
+    (``flat_library``) whose XOR is payload bit j: the t+1 constituents of
+    an XOR group, or one position of a plain item followed by ``PAD``;
+    padding rows are all ``PAD``.  ``spans`` gives every constituent range
+    as (library start, library stop, first row, row stop).
+    """
+
+    receiver: int
+    budget_uses: int
+    items: tuple[ItemIndex, ...]
+    gather: np.ndarray
+    spans: tuple[tuple[int, int, int, int], ...]
+
+
 def _known_to_subset(layout: SubMessageLayout, constituents, K: int) -> frozenset[int]:
     """Receivers caching every constituent range (subset placement: receiver
     k holds fragment (d, i) for all d exactly when k is in subsets[i])."""
@@ -122,32 +173,44 @@ def _known_to_subset(layout: SubMessageLayout, constituents, K: int) -> frozense
     return frozenset(known)
 
 
-def _piece_padded(library, layout: SubMessageLayout, d: int, i: int) -> np.ndarray:
-    off = layout.piece_offset(i)
-    raw = library[d - 1][off : off + layout.piece_bits[i]]
-    return _padded(layout.F, raw)
+def _item_rows(layout: SubMessageLayout, kind: str, constituents, width: int, row: int = 0):
+    """The gather rows of one item starting at phase row ``row``, padded to a
+    multiple of F, and its constituent ranges as ``PhaseIndex.spans``."""
+    columns = [[c] for c in constituents] if kind == "xor-group" else [constituents]
+    data = sum(b - a for (_, _, a, b) in columns[0])  # XOR constituents are equally long
+    gather = np.full((data + (-data) % layout.F, width), PAD, dtype=np.int64)
+    spans = []
+    for c, ranges in enumerate(columns):
+        r = 0
+        for (d, i, a, b) in ranges:
+            start = layout.position(d, i, a)
+            gather[r : r + b - a, c] = np.arange(start, start + b - a)
+            spans.append((start, start + b - a, row + r, row + r + b - a))
+            r += b - a
+    return gather, spans
+
+
+def _xor_constituents(layout: SubMessageLayout, demand, S):
+    S = tuple(sorted(int(x) for x in S))
+    if len(S) != layout.t + 1 or not all(1 <= k <= layout.K0 for k in S):
+        raise ConfigError(f"S must be t+1={layout.t + 1} receivers within 1..K0, got {S}")
+    constituents = []
+    for k in S:
+        i_k = layout.subset_index(tuple(x for x in S if x != k))  # KeyError when not a caching subset
+        constituents.append((demand[k - 1], i_k, 0, layout.piece_bits[i_k]))
+    return tuple(constituents)
 
 
 def xor_group(library, layout: SubMessageLayout, demand, S) -> PayloadItem:
     """XOR of the t+1 fragments indexed by a set S of t+1 cached receivers:
     member k contributes the fragment of its demand whose caching subset is
     exactly S minus k, so every member can strip the other t from cache."""
-    S = tuple(sorted(int(x) for x in S))
-    if len(S) != layout.t + 1 or not all(1 <= k <= layout.K0 for k in S):
-        raise ConfigError(f"S must be t+1={layout.t + 1} receivers within 1..K0, got {S}")
-    constituents = []
-    bits = None
-    for k in S:
-        others = tuple(x for x in S if x != k)
-        i_k = layout.subset_index(others)  # KeyError when not a caching subset
-        d_k = demand[k - 1]
-        constituents.append((d_k, i_k, 0, layout.piece_bits[i_k]))
-        piece = _piece_padded(library, layout, d_k, i_k)
-        bits = piece.copy() if bits is None else bits ^ piece
+    constituents = _xor_constituents(layout, demand, S)
+    gather, _ = _item_rows(layout, "xor-group", constituents, len(constituents))
     return PayloadItem(
         kind="xor-group",
-        constituents=tuple(constituents),
-        bits=bits,
+        constituents=constituents,
+        bits=gather_bits(flat_library(library), gather),
         known_to=_known_to_subset(layout, constituents, len(demand)),
     )
 
@@ -194,42 +257,50 @@ def _slice_flow(layout: SubMessageLayout, want_bits: np.ndarray) -> np.ndarray:
     return grant
 
 
-def build_schedule(
+def piggyback_grants(
+    cfg: SystemConfig, params: SchemeParameters, layout: SubMessageLayout
+) -> tuple[dict[int, np.ndarray], int]:
+    """Granted piggyback bits and the requested bits left ungranted.
+
+    The grants map each uncached receiver kt > K0 to a (K0, tau) matrix: the
+    bits of fragment i of kt's demand that ride in phase k.  They depend on
+    neither the demand nor the library.
+    """
+    K0, t = params.K0, params.t
+    n = cfg.require_n()
+    params.validate(cfg.K)
+    if (layout.K0, layout.t) != (K0, t):
+        raise ConfigError("layout does not match scheme parameters")
+    grants, shortfall = {}, 0
+    for kt in range(K0 + 1, cfg.K + 1):
+        want = np.array(
+            [math.floor(n * params.piggyback_rate(k, kt)) for k in range(1, K0 + 1)],
+            dtype=np.int64,
+        )
+        grants[kt] = _slice_flow(layout, want)
+        shortfall += int(want.sum() - grants[kt].sum())
+    return grants, shortfall
+
+
+def index_schedule(
     cfg: SystemConfig,
     params: SchemeParameters,
     layout: SubMessageLayout,
+    grants: dict[int, np.ndarray],
     demand,
-    library,
-    caches: CacheContents,
-) -> PhaseSchedule:
-    """Assemble the K-phase delivery schedule for one demand tuple.
+) -> tuple[PhaseIndex, ...]:
+    """The K-phase delivery schedule for one demand tuple, as library
+    positions; ``grants`` come from ``piggyback_grants`` for the same
+    parameters and layout.
 
     Demand tuples with repeated entries reuse the distinct-demand
     construction (correct, possibly conservative); bits sent plainly in an
     early phase are excluded from the plain remainder phases kt > K0.
     Budget sufficiency is checked by verify_schedule, not here.
     """
-    K, K0, t = cfg.K, params.K0, params.t
+    K, K0, t, tau = cfg.K, params.K0, params.t, layout.tau
     n = cfg.require_n()
-    params.validate(K)
     demand = validate_demand(demand, K, cfg.D)
-    if (layout.K0, layout.t) != (K0, t):
-        raise ConfigError("layout does not match scheme parameters")
-    tau = layout.tau
-
-    budgets = [min(n, math.floor(params.beta[k - 1] * n)) for k in range(1, K + 1)]
-
-    # piggyback grants per target message, disjoint bit ranges via cursors
-    grants = {}
-    shortfall = 0
-    for kt in range(K0 + 1, K + 1):
-        want = np.array(
-            [math.floor(n * params.piggyback_rate(k, kt)) for k in range(1, K0 + 1)],
-            dtype=np.int64,
-        )
-        g = _slice_flow(layout, want)
-        grants[kt] = g
-        shortfall += int(want.sum() - g.sum())
 
     sent: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
@@ -251,75 +322,80 @@ def build_schedule(
 
     phases = []
     for k in range(1, K + 1):
-        items: list[PayloadItem] = []
+        specs = []
         if k <= K0:
             for rest in combinations(range(k + 1, K0 + 1), t):
-                items.append(xor_group(library, layout, demand, (k,) + rest))
+                consts = _xor_constituents(layout, demand, (k,) + rest)
+                specs.append(("xor-group", consts, _known_to_subset(layout, consts, K), None))
             if layout.piece_bits[tau] > 0:
-                d_k = demand[k - 1]
-                rng = (d_k, tau, 0, layout.piece_bits[tau])
-                items.append(
-                    PayloadItem(
-                        kind="uncached-part",
-                        constituents=(rng,),
-                        bits=_piece_padded(library, layout, d_k, tau),
-                        known_to=frozenset(),
-                    )
-                )
-                register(d_k, tau, 0, layout.piece_bits[tau])
+                rng = (demand[k - 1], tau, 0, layout.piece_bits[tau])
+                specs.append(("uncached-part", (rng,), frozenset(), None))
+                register(*rng)
             for kt in range(K0 + 1, K + 1):
                 row = grants[kt][k - 1]
                 if row.sum() == 0:
                     continue
-                d_t = demand[kt - 1]
-                consts, chunks = [], []
+                consts = []
                 for i in range(tau):
                     if row[i] == 0:
                         continue
                     a = int(cursors[kt][i])
                     b = a + int(row[i])
                     cursors[kt][i] = b
-                    consts.append((d_t, i, a, b))
-                    off = layout.piece_offset(i)
-                    chunks.append(library[d_t - 1][off + a : off + b])
-                    register(d_t, i, a, b)
-                items.append(
-                    PayloadItem(
-                        kind="piggyback-slice",
-                        constituents=tuple(consts),
-                        bits=_padded(layout.F, np.concatenate(chunks)),
-                        known_to=_known_to_subset(layout, consts, K),
-                        owner=k,
-                    )
+                    consts.append((demand[kt - 1], i, a, b))
+                    register(*consts[-1])
+                specs.append(
+                    ("piggyback-slice", tuple(consts), _known_to_subset(layout, consts, K), k)
                 )
         else:
             d_k = demand[k - 1]
             for i in range(tau + 1):
-                gaps = remaining(d_k, i)
-                if not gaps:
+                consts = tuple((d_k, i, a, b) for a, b in remaining(d_k, i))
+                if not consts:
                     continue
-                consts = tuple((d_k, i, a, b) for a, b in gaps)
-                off = layout.piece_offset(i)
-                chunks = [library[d_k - 1][off + a : off + b] for a, b in gaps]
-                items.append(
-                    PayloadItem(
-                        kind="uncached-part",
-                        constituents=consts,
-                        bits=_padded(layout.F, np.concatenate(chunks)),
-                        known_to=_known_to_subset(layout, consts, K),
-                    )
-                )
-                for a, b in gaps:
-                    register(d_k, i, a, b)
-        phases.append(
-            SchedulePhase(receiver=k, budget_uses=budgets[k - 1], items=tuple(items))
+                specs.append(("uncached-part", consts, _known_to_subset(layout, consts, K), None))
+                for c in consts:
+                    register(*c)
+        # specs are (kind, constituents, known_to, owner); lay them out row after row
+        width = t + 1 if any(spec[0] == "xor-group" for spec in specs) else 1
+        items, gathers, spans = [], [np.zeros((0, width), np.int64)], []
+        for spec in specs:
+            row = items[-1].stop if items else 0
+            gather, item_spans = _item_rows(layout, spec[0], spec[1], width, row)
+            items.append(ItemIndex(*spec, row, row + len(gather)))
+            gathers.append(gather)
+            spans += item_spans
+        budget = min(n, math.floor(params.beta[k - 1] * n))
+        phases.append(PhaseIndex(k, budget, tuple(items), np.concatenate(gathers), tuple(spans)))
+    return tuple(phases)
+
+
+def build_schedule(
+    cfg: SystemConfig,
+    params: SchemeParameters,
+    layout: SubMessageLayout,
+    demand,
+    library,
+) -> PhaseSchedule:
+    """The K-phase delivery schedule for one demand tuple, with every item's
+    bits gathered from ``library`` (see ``index_schedule``)."""
+    grants, shortfall = piggyback_grants(cfg, params, layout)
+    phases = index_schedule(cfg, params, layout, grants, demand)
+    flat = flat_library(library)
+    view = []
+    for phase in phases:
+        bits = gather_bits(flat, phase.gather)
+        items = tuple(
+            PayloadItem(it.kind, it.constituents, bits[it.start : it.stop], it.known_to, it.owner)
+            for it in phase.items
         )
+        view.append(SchedulePhase(phase.receiver, phase.budget_uses, items))
     return PhaseSchedule(
-        demand=demand,
-        phases=tuple(phases),
+        demand=validate_demand(demand, cfg.K, cfg.D),
+        phases=tuple(view),
         params=params,
         layout=layout,
-        n=n,
+        n=cfg.require_n(),
         F=cfg.F,
         piggyback_shortfall_bits=shortfall,
     )

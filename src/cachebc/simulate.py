@@ -1,10 +1,11 @@
 """End-to-end Monte Carlo experiments.
 
-A trial draws a uniform library, fills the caches, builds the delivery
-schedule, random-linear-encodes each phase, pushes everything through the
-erasure channel, decodes at every receiver with its cache as known symbols,
-un-XORs, and compares each reconstruction with the demanded message bit for
-bit.  The error probability is estimated over the union of all feasible
+Placement and each demand's schedule do not depend on the library, so an
+experiment makes them once.  A trial draws a uniform library, gathers each
+phase's payload from it, random-linear-encodes each phase, pushes everything
+through the erasure channel, decodes at every receiver with its cache as
+known symbols, un-XORs, and compares each reconstruction with the demanded
+message bit for bit.  The error probability is estimated over the union of all feasible
 demands: trial j fails when any receiver fails for any demand, with run
 (demand index, j) seeded by (base seed, demand index, j) so results are
 bit-identical regardless of execution order or thread count.
@@ -24,7 +25,6 @@ from . import codec
 from .channel import transmit
 from .model import ConfigError, SchemeParameters, SystemConfig, config_to_dict, validate_demand
 from .placement import (
-    CacheContents,
     build_caches,
     build_prefix_caches,
     draw_library,
@@ -41,7 +41,16 @@ from .regions import (
     two_rx_separate_asym_rate,
     two_rx_symmetric_rate,
 )
-from .schedule import PhaseSchedule, build_schedule, verify_schedule
+from .schedule import (
+    PAD,
+    PhaseIndex,
+    build_schedule,
+    flat_library,
+    gather_bits,
+    index_schedule,
+    piggyback_grants,
+    verify_schedule,
+)
 from ._seeding import seed_material
 
 __all__ = [
@@ -215,183 +224,105 @@ def plan_scheme(
 # ---------------------------------------------------------------------------
 
 
-def _item_known_values(item, receiver, caches: CacheContents, store, layout):
-    """Bit values of an item the receiver can reproduce without the channel.
+class _XorDelivery:
+    """The trials of one XOR-scheme experiment.
 
-    Returns (values, mask) over the padded item; padding bits are known
-    zeros.  XOR groups are reproducible only when every constituent is."""
-    nb = item.padded_bits
-    vals = np.zeros(nb, dtype=np.uint8)
-    mask = np.zeros(nb, dtype=bool)
+    The layout, the piggyback grants, the cache placement and each demand's
+    schedule index depend on neither the library nor the seed, so they are
+    made once.  A receiver's knowledge is two flat arrays over the library
+    laid out message after message (``flat_library``): bit values and a
+    known mask, seeded from its cache and grown by every phase it decodes.
+    """
 
-    def piece_bits(d, i):
-        if caches.has_piece(receiver, d, i):
-            return caches.piece(receiver, d, i)
-        rec = store.get((d, i))
-        if rec is not None and rec[1].all():
-            return rec[0]
-        return None
+    def __init__(self, plan: SchemePlan):
+        cfg = self.cfg = plan.cfg_sim
+        self.params = plan.params
+        self.layout = sub_message_layout(cfg, plan.K0, plan.t, plan.layout_memory)
+        self.grants, _ = piggyback_grants(cfg, plan.params, self.layout)
+        # the placement depends only on the layout: a blank library shows
+        # where each receiver's cached bits sit and runs the budget check
+        mb = self.layout.message_bits
+        caches = build_caches(cfg, [np.zeros(mb, np.uint8)] * cfg.D, self.layout)
+        self.cached = [np.zeros(cfg.D * mb + 1, dtype=bool) for _ in caches.entries]
+        for mask, entries in zip(self.cached, caches.entries):
+            mask[PAD] = True
+            for (d, i), piece in entries.items():
+                mask[self.layout.position(d, i) : self.layout.position(d, i, piece.size)] = True
 
-    if item.kind == "xor-group":
-        acc = np.zeros(nb, dtype=np.uint8)
-        for (d, i, a, b) in item.constituents:
-            piece = piece_bits(d, i)
-            if piece is None:
-                return vals, mask  # at least one constituent unknown
-            padded = np.zeros(nb, dtype=np.uint8)
-            padded[: b - a] = piece[a:b]
-            acc ^= padded
-        return acc, np.ones(nb, dtype=bool)
+    def compile(self, demand) -> tuple[PhaseIndex, ...]:
+        return index_schedule(self.cfg, self.params, self.layout, self.grants, demand)
 
-    pos = 0
-    for (d, i, a, b) in item.constituents:
-        ln = b - a
-        full = piece_bits(d, i)
-        if full is not None:
-            vals[pos : pos + ln] = full[a:b]
-            mask[pos : pos + ln] = True
-        else:
-            rec = store.get((d, i))
-            if rec is not None and rec[1][a:b].all():
-                vals[pos : pos + ln] = rec[0][a:b]
-                mask[pos : pos + ln] = True
-        pos += ln
-    mask[pos:] = True  # zero padding
-    return vals, mask
-
-
-def _store_write(store, layout, d, i, a, b, bits):
-    rec = store.get((d, i))
-    if rec is None:
-        ln = layout.piece_bits[i]
-        rec = (np.zeros(ln, dtype=np.uint8), np.zeros(ln, dtype=bool))
-        store[(d, i)] = rec
-    rec[0][a:b] = bits
-    rec[1][a:b] = True
-
-
-def _absorb_decoded_phase(phase, flat_bits, receiver, caches, store, layout):
-    """Harvest everything a decoded phase payload reveals into the store."""
-    pos = 0
-    for item in phase.items:
-        nb = item.padded_bits
-        chunk = flat_bits[pos : pos + nb]
-        pos += nb
-        if item.kind == "xor-group":
-            unknowns = []
-            acc = chunk.copy()
-            for (d, i, a, b) in item.constituents:
-                if caches.has_piece(receiver, d, i):
-                    piece = caches.piece(receiver, d, i)
-                elif (d, i) in store and store[(d, i)][1].all():
-                    piece = store[(d, i)][0]
-                else:
-                    unknowns.append((d, i, a, b))
-                    continue
-                padded = np.zeros(nb, dtype=np.uint8)
-                padded[: b - a] = piece[a:b]
-                acc ^= padded
-            if len(unknowns) == 1:  # strip the known t, keep the missing one
-                d, i, a, b = unknowns[0]
-                _store_write(store, layout, d, i, a, b, acc[: b - a])
-        else:
-            off = 0
-            for (d, i, a, b) in item.constituents:
-                _store_write(store, layout, d, i, a, b, chunk[off : off + (b - a)])
-                off += b - a
-
-
-def _assemble_message(receiver, demand, caches, store, layout, library):
-    d = demand[receiver - 1]
-    for i in range(layout.tau + 1):
-        ln = layout.piece_bits[i]
-        if ln == 0:
-            continue
-        off = layout.piece_offset(i)
-        truth = library[d - 1][off : off + ln]
-        if caches.has_piece(receiver, d, i):
-            got = caches.piece(receiver, d, i)
-        else:
-            rec = store.get((d, i))
-            if rec is None or not rec[1].all():
-                return False
-            got = rec[0]
-        if not np.array_equal(got, truth):
-            return False
-    return True
-
-
-def _run_xor_trial(plan: SchemePlan, demand, seed) -> list[bool]:
-    cfg = plan.cfg_sim
-    base = seed_material(seed)
-    library = draw_library(cfg, base)
-    layout = sub_message_layout(cfg, plan.K0, plan.t, plan.layout_memory)
-    caches = build_caches(cfg, library, layout)
-    schedule = build_schedule(cfg, plan.params, layout, demand, library, caches)
-
-    F = cfg.F
-    phase_blocks = []
-    payload_arrays = []
-    offsets = [0]
-    for p, phase in enumerate(schedule.phases, start=1):
-        count = phase.budget_uses
-        bits = (
-            np.concatenate([it.bits for it in phase.items])
-            if phase.items
-            else np.zeros(0, dtype=np.uint8)
-        )
-        blocks = bits.reshape(-1, F)
-        phase_blocks.append(blocks)
-        if count > 0:
-            if blocks.shape[0] > 0:
+    def run(self, phases: tuple[PhaseIndex, ...], demand, seed) -> list[bool]:
+        cfg, F = self.cfg, self.cfg.F
+        base = seed_material(seed)
+        library = flat_library(draw_library(cfg, base))
+        phase_blocks = [gather_bits(library, phase.gather).reshape(-1, F) for phase in phases]
+        payload_arrays = []
+        offsets = [0]
+        for p, (phase, blocks) in enumerate(zip(phases, phase_blocks), start=1):
+            count = phase.budget_uses
+            if count > 0 and blocks.shape[0] > 0:
                 payload_arrays.append(codec.encode_payloads(blocks, count, p, base))
             else:
-                payload_arrays.append(np.zeros((count, F), dtype=np.uint8))
-        else:
-            payload_arrays.append(np.zeros((0, F), dtype=np.uint8))
-        offsets.append(offsets[-1] + count)
+                payload_arrays.append(np.zeros((max(count, 0), F), dtype=np.uint8))
+            offsets.append(offsets[-1] + count)
 
-    total_uses = offsets[-1]
-    realization = (
-        transmit(np.vstack(payload_arrays), cfg.deltas, base) if total_uses else None
-    )
+        total_uses = offsets[-1]
+        realization = (
+            transmit(np.vstack(payload_arrays), cfg.deltas, base) if total_uses else None
+        )
 
-    flags = []
-    for k in range(1, cfg.K + 1):
-        store: dict = {}
-        for p in range(1, k + 1):
-            phase = schedule.phases[p - 1]
-            blocks = phase_blocks[p - 1]
-            B = blocks.shape[0]
-            if B == 0:
-                continue
-            bit_pos = 0
-            phase_vals = np.zeros(B * F, dtype=np.uint8)
-            phase_mask = np.zeros(B * F, dtype=bool)
-            for item in phase.items:
-                v, m = _item_known_values(item, k, caches, store, layout)
-                nb = item.padded_bits
-                phase_vals[bit_pos : bit_pos + nb] = v
-                phase_mask[bit_pos : bit_pos + nb] = m
-                bit_pos += nb
-            known_blocks = phase_mask.reshape(B, F).all(axis=1)
-            vals_blocks = phase_vals.reshape(B, F)
-            known = {int(b): vals_blocks[b] for b in np.flatnonzero(known_blocks)}
-            if realization is None:
-                idx_local = np.zeros(0, dtype=np.int64)
-                payloads = np.zeros((0, F), dtype=np.uint8)
-            else:
-                span = np.arange(offsets[p - 1], offsets[p])
-                keep = ~realization.erased[k - 1, span]
-                idx_local = np.flatnonzero(keep)
-                payloads = realization.inputs[span[keep]]
-            result = codec.decode_arrays(idx_local, payloads, B, p, base, known)
-            if result.ok:
-                _absorb_decoded_phase(
-                    phase, result.blocks.reshape(-1), k, caches, store, layout
-                )
-        flags.append(_assemble_message(k, demand, caches, store, layout, library))
-    return flags
+        mb = self.layout.message_bits
+        flags = []
+        for k in range(1, cfg.K + 1):
+            known = self.cached[k - 1].copy()
+            values = library * known
+            for p in range(1, k + 1):
+                phase = phases[p - 1]
+                B = phase_blocks[p - 1].shape[0]
+                if B == 0:
+                    continue
+                # a constituent range counts as known only when all its bits are
+                rows_known = np.ones(B * F, dtype=bool)
+                for lo, hi, first, stop in phase.spans:
+                    if not known[lo:hi].all():
+                        rows_known[first:stop] = False
+                known_blocks = rows_known.reshape(B, F).all(axis=1)
+                vals_blocks = gather_bits(values, phase.gather).reshape(B, F)
+                side = {int(b): vals_blocks[b] for b in np.flatnonzero(known_blocks)}
+                if realization is None:
+                    idx_local = np.zeros(0, dtype=np.int64)
+                    payloads = np.zeros((0, F), dtype=np.uint8)
+                else:
+                    span = np.arange(offsets[p - 1], offsets[p])
+                    keep = ~realization.erased[k - 1, span]
+                    idx_local = np.flatnonzero(keep)
+                    payloads = realization.inputs[span[keep]]
+                result = codec.decode_arrays(idx_local, payloads, B, p, base, side)
+                if result.ok:
+                    _absorb(phase, result.blocks.reshape(-1), values, known)
+            msg = slice((demand[k - 1] - 1) * mb, demand[k - 1] * mb)
+            flags.append(bool(known[msg].all()) and np.array_equal(values[msg], library[msg]))
+        return flags
+
+
+def _absorb(phase: PhaseIndex, decoded: np.ndarray, values: np.ndarray, known: np.ndarray):
+    """Add a decoded phase to a receiver's knowledge, item by item: plain
+    items outright, an XOR group when exactly one of its constituents is not
+    fully known (the others are stripped from it)."""
+    for item in phase.items:
+        rows, got = phase.gather[item.start : item.stop], decoded[item.start : item.stop]
+        data = rows[:, 0] != PAD  # padding rows gather nothing but PAD
+        rows, got = rows[data], got[data]
+        if item.kind != "xor-group":
+            values[rows[:, 0]] = got
+            known[rows[:, 0]] = True
+            continue
+        missing = [c for c in range(rows.shape[1]) if not known[rows[:, c]].all()]
+        if len(missing) == 1:
+            others = np.delete(rows, missing[0], axis=1)
+            values[rows[:, missing[0]]] = got ^ gather_bits(values, others)
+            known[rows[:, missing[0]]] = True
 
 
 def _run_common_trial(plan: SchemePlan, demand, seed) -> list[bool]:
@@ -468,11 +399,20 @@ def run_trial(cfg: SystemConfig, scheme: str, params, demand, seed) -> list[bool
     else:
         plan = plan_scheme(cfg, scheme, 1.0, params)
     demand = validate_demand(demand, cfg.K, cfg.D)
-    if not cfg.demand_set.contains(demand, cfg.K, cfg.D):
-        raise ConfigError(f"demand {demand} is not in the feasible set")
+    return _trial_runner(cfg, plan, [demand])(demand, seed)
+
+
+def _trial_runner(cfg: SystemConfig, plan: SchemePlan, demands):
+    """``run(demand, seed) -> flags`` for the trials of one experiment over
+    ``demands``; an XOR scheme compiles each distinct demand once."""
+    for demand in demands:
+        if not cfg.demand_set.contains(demand, cfg.K, cfg.D):
+            raise ConfigError(f"demand {demand} is not in the feasible set")
     if plan.scheme == "common-demand":
-        return _run_common_trial(plan, demand, seed)
-    return _run_xor_trial(plan, demand, seed)
+        return lambda demand, seed: _run_common_trial(plan, demand, seed)
+    delivery = _XorDelivery(plan)
+    compiled = {d: delivery.compile(d) for d in dict.fromkeys(demands)}
+    return lambda demand, seed: delivery.run(compiled[demand], demand, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +527,12 @@ def estimate_pe(
         ]
         mode = "sampled"
 
+    run = _trial_runner(cfg, plan, demands)
     jobs = [(di, j) for j in range(trials) for di in range(len(demands))]
 
     def one(job):
         di, j = job
-        return job, run_trial(cfg, scheme, plan, demands[di], [seed, di, j])
+        return job, run(demands[di], [seed, di, j])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -758,8 +699,8 @@ def audit_conditions(
         m_eff = lp.cached_rate_per_fragment * cfg.D * math.comb(K0 - 1, t - 1)
         layout = sub_message_layout(cfg_lp, K0, t, m_eff)
         library = draw_library(cfg_lp, library_seed)
-        caches = build_caches(cfg_lp, library, layout)
+        build_caches(cfg_lp, library, layout)  # raises CapacityError on overflow
         params = SchemeParameters(K0=K0, t=t, beta=lp.beta, piggyback=lp.piggyback)
-        sched = build_schedule(cfg_lp, params, layout, demand, library, caches)
+        sched = build_schedule(cfg_lp, params, layout, demand, library)
         out["verify_ok"] = verify_schedule(sched, cfg_lp, margin=1.0).ok
     return out

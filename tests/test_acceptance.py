@@ -243,8 +243,9 @@ def test_criterion_8_codec_properties():
     for trial in range(60):
         B = int(rng.integers(1, 48))
         blocks = rng.integers(0, 2, size=(B, 8), dtype=np.uint8)
-        pkts = codec.encode(blocks, B + int(rng.integers(0, 40)), trial, 7_000 + trial)
-        res = codec.decode(pkts, None, B)
+        count = B + int(rng.integers(0, 40))
+        payloads = codec.encode_payloads(blocks, count, trial, 7_000 + trial)
+        res = codec.decode_arrays(np.arange(count), payloads, B, trial, 7_000 + trial)
         if res.ok:
             ok &= bool(np.array_equal(res.blocks, blocks))
     # side-information monotonicity on 500 random cases
@@ -252,13 +253,18 @@ def test_criterion_8_codec_properties():
     for trial in range(500):
         B = int(rng.integers(2, 24))
         blocks = rng.integers(0, 2, size=(B, 4), dtype=np.uint8)
-        pkts = codec.encode(blocks, int(rng.integers(1, B + 6)), 0, trial)
-        kept = [p for p in pkts if rng.random() > 0.3]
+        count = int(rng.integers(1, B + 6))
+        payloads = codec.encode_payloads(blocks, count, 0, trial)
+        kept = np.array([j for j in range(count) if rng.random() > 0.3], dtype=np.int64)
         small_idx = sorted(rng.choice(B, size=int(rng.integers(0, B)), replace=False))
         grow = sorted(set(range(B)) - set(small_idx))
         big_idx = small_idx + [i for i in grow if rng.random() < 0.5]
-        r_small = codec.decode(kept, {int(i): blocks[i] for i in small_idx}, B)
-        r_big = codec.decode(kept, {int(i): blocks[i] for i in big_idx}, B)
+        r_small = codec.decode_arrays(
+            kept, payloads[kept], B, 0, trial, {int(i): blocks[i] for i in small_idx}
+        )
+        r_big = codec.decode_arrays(
+            kept, payloads[kept], B, 0, trial, {int(i): blocks[i] for i in big_idx}
+        )
         if r_small.ok and not r_big.ok:
             ok = False
         flips += r_small.ok != r_big.ok

@@ -91,6 +91,16 @@ def test_region_check_outside_exit_one(capsys, common_cfg):
     assert json.loads(out)["inside"] is False
 
 
+@pytest.mark.parametrize("scheme", ["common", "degraded"])
+def test_region_check_rejects_non_finite_rates(capsys, common_cfg, scheme):
+    code, out, err = run(
+        capsys,
+        ["region-check", "--config", common_cfg, "--scheme", scheme, "--rates", "inf,0.5"],
+    )
+    assert code == 2 and out == ""
+    assert "rates" in err
+
+
 def test_config_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, ["region-check", "--config", str(tmp_path / "nope.json"), "--scheme", "common"])
     assert code == 2

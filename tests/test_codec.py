@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from cachebc import codec
 
@@ -10,11 +9,11 @@ def blocks_of(B, F=16, seed=0):
 
 def test_single_block_packets_equal_block():
     b = blocks_of(1, F=8)
-    pkts = codec.encode(b, 32, 0, 5)
+    payloads = codec.encode_payloads(b, 32, 0, 5)
     A = codec.coefficient_rows(5, 0, 32, 1)
-    for p in pkts:
-        expect = b[0] if A[p.index, 0] else np.zeros(8, np.uint8)
-        assert np.array_equal(p.payload, expect)
+    for j, payload in enumerate(payloads):
+        expect = b[0] if A[j, 0] else np.zeros(8, np.uint8)
+        assert np.array_equal(payload, expect)
 
 
 def test_encode_bit_identical_across_runs():
@@ -37,7 +36,7 @@ def test_rank_reached_with_eight_extra():
 
 def test_decode_all_known_zero_packets():
     b = blocks_of(6)
-    res = codec.decode([], {i: b[i] for i in range(6)}, 6)
+    res = codec.decode_arrays([], np.zeros((0, 0), np.uint8), 6, 0, 0, {i: b[i] for i in range(6)})
     assert res.ok and np.array_equal(res.blocks, b)
 
 
@@ -54,8 +53,8 @@ def test_hand_elimination_with_known_blocks():
 
 def test_fewer_packets_than_unknowns_always_fails():
     b = blocks_of(10)
-    pkts = codec.encode(b, 50, 1, 7)
-    res = codec.decode(pkts[:9], None, 10)
+    payloads = codec.encode_payloads(b, 50, 1, 7)
+    res = codec.decode_arrays(np.arange(9), payloads[:9], 10, 1, 7)
     assert not res.ok and res.rank_deficit >= 1
 
 
@@ -65,8 +64,8 @@ def test_round_trip_when_rank_full():
         B = int(rng.integers(1, 40))
         count = B + int(rng.integers(0, 30))
         b = blocks_of(B, F=8, seed=trial)
-        pkts = codec.encode(b, count, trial, 1000 + trial)
-        res = codec.decode(pkts, None, B)
+        payloads = codec.encode_payloads(b, count, trial, 1000 + trial)
+        res = codec.decode_arrays(np.arange(count), payloads, B, trial, 1000 + trial)
         A = codec.coefficient_rows(1000 + trial, trial, count, B)
         x, _ = codec.solve_gf2(A, np.zeros((count, 1), np.uint8))
         full_rank = x is not None
@@ -82,15 +81,15 @@ def test_side_information_monotone():
         B = int(rng.integers(2, 24))
         b = blocks_of(B, F=4, seed=trial)
         count = int(rng.integers(1, B + 6))
-        pkts = codec.encode(b, count, 0, trial)
-        kept = [p for p in pkts if rng.random() > 0.3]
+        payloads = codec.encode_payloads(b, count, 0, trial)
+        kept = np.array([j for j in range(count) if rng.random() > 0.3], dtype=np.int64)
         small = sorted(rng.choice(B, size=int(rng.integers(0, B)), replace=False))
         extra = sorted(set(range(B)) - set(small))
         big = small + [i for i in extra if rng.random() < 0.5]
         known_small = {int(i): b[i] for i in small}
         known_big = {int(i): b[i] for i in big}
-        r_small = codec.decode(kept, known_small, B)
-        r_big = codec.decode(kept, known_big, B)
+        r_small = codec.decode_arrays(kept, payloads[kept], B, 0, trial, known_small)
+        r_big = codec.decode_arrays(kept, payloads[kept], B, 0, trial, known_big)
         if r_small.ok:
             assert r_big.ok, "adding side information broke a decodable case"
             assert np.array_equal(r_big.blocks, b)
@@ -110,24 +109,16 @@ def test_overhead_32_packets_suffices():
         assert ok / trials >= 0.99, f"u={u}"
 
 
-def test_decode_mixed_phase_rejected():
-    b = blocks_of(2)
-    p1 = codec.encode(b, 2, 1, 0)
-    p2 = codec.encode(b, 2, 2, 0)
-    with pytest.raises(ValueError):
-        codec.decode([p1[0], p2[0]], None, 2)
-
-
 def test_truncation_fallback_uses_late_packets():
     # first u+64 packets rank-deficient but the full set succeeds
     b = blocks_of(2, F=2)
-    pkts = codec.encode(b, 400, 0, 11)
+    payloads = codec.encode_payloads(b, 400, 0, 11)
     A = codec.coefficient_rows(11, 0, 400, 2)
-    dup = [p for p in pkts if (A[p.index] == A[pkts[0].index]).all()]
-    rest = [p for p in pkts if p not in dup]
-    chosen = dup[:70] + rest[:1] if len(dup) >= 70 else pkts[:70] + rest[:1]
-    res = codec.decode(chosen, None, 2)
+    dup = [j for j in range(400) if (A[j] == A[0]).all()]
+    rest = [j for j in range(400) if j not in dup]
+    chosen = dup[:70] + rest[:1] if len(dup) >= 70 else list(range(70)) + rest[:1]
+    res = codec.decode_arrays(np.array(chosen), payloads[chosen], 2, 0, 11)
     # regardless of where the useful packet sits, full-set fallback finds it
-    A_sub = np.stack([A[p.index] for p in chosen])
+    A_sub = A[chosen]
     x, _ = codec.solve_gf2(A_sub, np.zeros((len(chosen), 1), np.uint8))
     assert res.ok == (x is not None)

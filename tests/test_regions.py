@@ -412,6 +412,26 @@ def test_unequal_four_rx_frozen_optimum():
     assert unequal_cache_max_rate(cfg) == pytest.approx(0.4074771076, abs=1e-7)
 
 
+def test_unequal_zero_memory_layers_solve_one_t(monkeypatch):
+    """Equal memories leave layers K0 = 3, 2, 1 without memory, so only the
+    K0 = 4 layer's three subset sizes need an LP; the rate was frozen when
+    all six tuples were solved."""
+    from cachebc import regions
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "linprog", counting)
+    cfg = SystemConfig(
+        K=4, D=4, F=1, deltas=(0.8, 0.6, 0.4, 0.2), rates=[1.0] * 4, memories=(1.0,) * 4
+    )
+    assert unequal_cache_max_rate(cfg) == pytest.approx(0.3893333333333333, abs=1e-12)
+    assert len(calls) == 3
+
+
 # -- common demand ------------------------------------------------------------
 
 

@@ -41,7 +41,7 @@ def build_all(cfg, K0, t, M, demand, rate=None, seed=0, force_zero_piggyback=Fal
     lib = draw_library(cfg, seed)
     caches = build_caches(cfg, lib, layout)
     params = SchemeParameters(K0=K0, t=t, beta=fit.beta, piggyback=fit.piggyback)
-    sched = build_schedule(cfg, params, layout, demand, lib, caches)
+    sched = build_schedule(cfg, params, layout, demand, lib)
     return cfg, layout, lib, caches, sched, fit
 
 
@@ -277,7 +277,6 @@ def test_verify_agrees_with_lp_constraints_on_random_points():
     cfg = fresh(3, 3, 1, [0.8, 0.5, 0.2], 0.5, [0.3, 0.3, 0.0], 24000)
     layout = sub_message_layout(cfg, 2, 1, 0.3)
     lib = draw_library(cfg, 11)
-    caches = build_caches(cfg, lib, layout)
     rng = np.random.default_rng(13)
     r_c = layout.cached_rate
     agree = 0
@@ -289,7 +288,7 @@ def test_verify_agrees_with_lp_constraints_on_random_points():
             continue
         C = (rng.uniform(0, r_c), rng.uniform(0, r_c))
         params = SchemeParameters(K0=2, t=1, beta=tuple(beta), piggyback=((C[0],), (C[1],)))
-        sched = build_schedule(cfg, params, layout, (1, 2, 3), lib, caches)
+        sched = build_schedule(cfg, params, layout, (1, 2, 3), lib)
         # rate-level feasibility of the same point
         R = cfg.rates[0]
         rows = [

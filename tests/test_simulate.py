@@ -208,3 +208,32 @@ def test_bad_worker_counts_rejected(monkeypatch):
         monkeypatch.setenv("CACHEBC_THREADS", raw)
         with pytest.raises(ConfigError, match="CACHEBC_THREADS"):
             estimate_pe(cfg, "joint-2rx", trials=1)
+
+
+def test_partly_known_ranges_pin_decoder_calls(monkeypatch):
+    """A constituent range counts as known only when all its bits are: with
+    t=2 and a repeated demand, receivers decode some ranges in part, and the
+    known blocks handed to the decoder must follow the range rule."""
+    import hashlib
+
+    from cachebc import SchemeParameters, codec
+
+    cfg = SystemConfig(
+        K=5, D=2, F=8, deltas=[0.3, 0.25, 0.2, 0.1, 0.05], rates=[0.6] * 2,
+        memories=[0.6, 0.6, 0.6, 0.0, 0.0], n=1200,
+    )
+    params = SchemeParameters(
+        K0=3, t=2, beta=(0.3, 0.3, 0.2, 0.1, 0.1),
+        piggyback=((0.05, 0.02), (0.03, 0.06), (0.02, 0.01)),
+    )
+    calls = []
+    decode = codec.decode_arrays
+
+    def recording(indices, payloads, B, phase_id, seed, known=None):
+        calls.append([phase_id, sorted(known or {}), len(indices)])
+        return decode(indices, payloads, B, phase_id, seed, known)
+
+    monkeypatch.setattr(codec, "decode_arrays", recording)
+    assert all(run_trial(cfg, "general", params, (1, 1, 1, 1, 1), [1, 0, 0]))
+    digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert digest == "68350fef27f212f299fb194c112b58269a4d57f632b79f04263bec4d3cc53d9f"
