@@ -91,7 +91,8 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     if pad:
         bits = np.concatenate([bits, np.zeros((m, pad), np.uint8)], axis=1)
     packed = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view(np.uint64)
+    # a column-gathered input packs Fortran-ordered; the word view needs C order
+    return np.ascontiguousarray(packed).view(np.uint64)
 
 
 def _unpack_rows(packed: np.ndarray, c: int) -> np.ndarray:
@@ -160,7 +161,7 @@ def solve_gf2(rows: np.ndarray, rhs: np.ndarray):
         return np.zeros((0, F), np.uint8), 0
     if m == 0:
         return None, u
-    packed = np.ascontiguousarray(_pack_rows(np.concatenate([rows, rhs], axis=1)))
+    packed = _pack_rows(np.concatenate([rows, rhs], axis=1))
     pivot_row = np.full(u, -1, dtype=np.int64)
     if _HAVE_NUMBA:
         rank = _eliminate_jit(packed, u, pivot_row)
@@ -205,17 +206,10 @@ def decode_arrays(
         corr = _gf2_matmul(A[:, kc], kv)
         adjusted = (payloads ^ corr).astype(np.uint8)
     sub = A[:, unknown_cols]
-
-    def attempt(rows, rhs):
-        return solve_gf2(rows, rhs)
-
     limit = u + 64
-    if m > limit:
-        x, deficit = attempt(sub[:limit], adjusted[:limit])
-        if x is None:
-            x, deficit = attempt(sub, adjusted)
-    else:
-        x, deficit = attempt(sub, adjusted)
+    x, deficit = solve_gf2(sub[:limit], adjusted[:limit])
+    if x is None and m > limit:
+        x, deficit = solve_gf2(sub, adjusted)
     if x is None:
         return DecodeResult(ok=False, blocks=None, rank_deficit=deficit)
     out = np.zeros((B, F), np.uint8)

@@ -1,13 +1,16 @@
 """End-to-end Monte Carlo experiments.
 
-Placement and each demand's schedule do not depend on the library, so an
-experiment makes them once.  A trial draws a uniform library, gathers each
-phase's payload from it, random-linear-encodes each phase, pushes everything
-through the erasure channel, decodes at every receiver with its cache as
-known symbols, un-XORs, and compares each reconstruction with the demanded
-message bit for bit.  The error probability is estimated over the union of all feasible
-demands: trial j fails when any receiver fails for any demand, with run
-(demand index, j) seeded by (base seed, demand index, j) so results are
+Every scheme runs through one trial loop; only the set-up differs: subset
+caches and K phases of XOR groups, plain parts and piggyback slices for the
+XOR schemes, prefix caches and one phase over the demanded message for the
+common-demand scheme.  Neither depends on the library, so an experiment
+makes them once.  A trial draws a uniform library, gathers and
+random-linear-encodes each phase, pushes everything through the erasure
+channel, decodes at every receiver with the blocks it knows, absorbs
+(un-XORs) what it decoded, and compares the demanded message bit for bit.
+The error probability is estimated over the union of all feasible demands:
+trial j fails when any receiver fails for any demand, with run (demand
+index, j) seeded by (base seed, demand index, j) so results are
 bit-identical regardless of execution order or thread count.
 """
 
@@ -16,8 +19,10 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -43,6 +48,7 @@ from .regions import (
 )
 from .schedule import (
     PAD,
+    ItemIndex,
     PhaseIndex,
     build_schedule,
     flat_library,
@@ -104,9 +110,6 @@ class SchemePlan:
     t: int | None = None
     min_slack_bits: float | None = None
     allocation: tuple[tuple[float, ...], ...] | None = None  # common demand
-
-    def allocation_array(self) -> np.ndarray:
-        return np.array(self.allocation, dtype=float)
 
 
 def _equal_cache_pattern(cfg: SystemConfig) -> tuple[int, float]:
@@ -224,33 +227,21 @@ def plan_scheme(
 # ---------------------------------------------------------------------------
 
 
-class _XorDelivery:
-    """The trials of one XOR-scheme experiment.
+@dataclass(frozen=True)
+class _Delivery:
+    """The trials of one experiment, whatever the scheme.
 
-    The layout, the piggyback grants, the cache placement and each demand's
-    schedule index depend on neither the library nor the seed, so they are
-    made once.  A receiver's knowledge is two flat arrays over the library
-    laid out message after message (``flat_library``): bit values and a
-    known mask, seeded from its cache and grown by every phase it decodes.
+    Message d spans ``offsets[d-1]:offsets[d]`` of the flat library
+    (``flat_library``); ``cached`` are the receivers' cached-bit masks over
+    it and ``compile(demand)`` gives a demand's phases.  An experiment makes
+    these once.  Receiver k's knowledge is bit values and a known mask over
+    the flat library, seeded from its cache and grown by phases 1..k.
     """
 
-    def __init__(self, plan: SchemePlan):
-        cfg = self.cfg = plan.cfg_sim
-        self.params = plan.params
-        self.layout = sub_message_layout(cfg, plan.K0, plan.t, plan.layout_memory)
-        self.grants, _ = piggyback_grants(cfg, plan.params, self.layout)
-        # the placement depends only on the layout: a blank library shows
-        # where each receiver's cached bits sit and runs the budget check
-        mb = self.layout.message_bits
-        caches = build_caches(cfg, [np.zeros(mb, np.uint8)] * cfg.D, self.layout)
-        self.cached = [np.zeros(cfg.D * mb + 1, dtype=bool) for _ in caches.entries]
-        for mask, entries in zip(self.cached, caches.entries):
-            mask[PAD] = True
-            for (d, i), piece in entries.items():
-                mask[self.layout.position(d, i) : self.layout.position(d, i, piece.size)] = True
-
-    def compile(self, demand) -> tuple[PhaseIndex, ...]:
-        return index_schedule(self.cfg, self.params, self.layout, self.grants, demand)
+    cfg: SystemConfig
+    cached: np.ndarray  # (K, library bits + 1)
+    offsets: tuple[int, ...]
+    compile: Callable[..., tuple[PhaseIndex, ...]]
 
     def run(self, phases: tuple[PhaseIndex, ...], demand, seed) -> list[bool]:
         cfg, F = self.cfg, self.cfg.F
@@ -258,27 +249,25 @@ class _XorDelivery:
         library = flat_library(draw_library(cfg, base))
         phase_blocks = [gather_bits(library, phase.gather).reshape(-1, F) for phase in phases]
         payload_arrays = []
-        offsets = [0]
+        uses = [0]  # phase p owns channel uses uses[p-1]:uses[p]
         for p, (phase, blocks) in enumerate(zip(phases, phase_blocks), start=1):
             count = phase.budget_uses
             if count > 0 and blocks.shape[0] > 0:
                 payload_arrays.append(codec.encode_payloads(blocks, count, p, base))
             else:
                 payload_arrays.append(np.zeros((max(count, 0), F), dtype=np.uint8))
-            offsets.append(offsets[-1] + count)
+            uses.append(uses[-1] + count)
 
-        total_uses = offsets[-1]
+        total_uses = uses[-1]
         realization = (
             transmit(np.vstack(payload_arrays), cfg.deltas, base) if total_uses else None
         )
 
-        mb = self.layout.message_bits
         flags = []
         for k in range(1, cfg.K + 1):
             known = self.cached[k - 1].copy()
             values = library * known
-            for p in range(1, k + 1):
-                phase = phases[p - 1]
+            for p, phase in enumerate(phases[:k], start=1):
                 B = phase_blocks[p - 1].shape[0]
                 if B == 0:
                     continue
@@ -294,16 +283,71 @@ class _XorDelivery:
                     idx_local = np.zeros(0, dtype=np.int64)
                     payloads = np.zeros((0, F), dtype=np.uint8)
                 else:
-                    span = np.arange(offsets[p - 1], offsets[p])
+                    span = np.arange(uses[p - 1], uses[p])
                     keep = ~realization.erased[k - 1, span]
                     idx_local = np.flatnonzero(keep)
                     payloads = realization.inputs[span[keep]]
                 result = codec.decode_arrays(idx_local, payloads, B, p, base, side)
                 if result.ok:
                     _absorb(phase, result.blocks.reshape(-1), values, known)
-            msg = slice((demand[k - 1] - 1) * mb, demand[k - 1] * mb)
+            msg = slice(self.offsets[demand[k - 1] - 1], self.offsets[demand[k - 1]])
             flags.append(bool(known[msg].all()) and np.array_equal(values[msg], library[msg]))
         return flags
+
+
+def _cached_masks(size: int, caches, start) -> np.ndarray:
+    """Row k-1: receiver k's cached-bit mask over a flat library of ``size``
+    bits; cache entry ``key`` sits at ``start(key)``, padding is known."""
+    masks = np.zeros((caches.K, size + 1), dtype=bool)
+    masks[:, PAD] = True
+    for mask, entries in zip(masks, caches.entries):
+        for key, bits in entries.items():
+            mask[start(key) : start(key) + bits.size] = True
+    return masks
+
+
+def _subset_delivery(plan: SchemePlan) -> _Delivery:
+    """The XOR schemes: subset caches, and K phases of XOR groups, plain
+    parts and piggyback slices per demand (``index_schedule``)."""
+    cfg = plan.cfg_sim
+    layout = sub_message_layout(cfg, plan.K0, plan.t, plan.layout_memory)
+    grants, _ = piggyback_grants(cfg, plan.params, layout)
+    offsets = tuple(layout.position(d, 0) for d in range(1, cfg.D + 2))
+    # the placement depends only on the layout: a blank library shows where
+    # each receiver's cached bits sit and runs the budget check
+    caches = build_caches(cfg, [np.zeros(layout.message_bits, np.uint8)] * cfg.D, layout)
+    cached = _cached_masks(offsets[-1], caches, lambda key: layout.position(*key))
+    compile = partial(index_schedule, cfg, plan.params, layout, grants)
+    return _Delivery(cfg, cached, offsets, compile)
+
+
+def _prefix_delivery(plan: SchemePlan) -> _Delivery:
+    """The common-demand scheme: prefix caches, and one random-linear phase
+    of n uses over the demanded message."""
+    cfg = plan.cfg_sim
+    F, n = cfg.F, cfg.require_n()
+    sizes = [math.floor(n * r) for r in cfg.rates]  # draw_library's message lengths
+    offsets = tuple(int(x) for x in np.cumsum([0] + sizes))
+    # a blank library places the prefixes and runs the allocation and budget checks
+    caches = build_prefix_caches(cfg, [np.zeros(b, np.uint8) for b in sizes], plan.allocation)
+    cached = _cached_masks(offsets[-1], caches, lambda d: offsets[d - 1])
+
+    def compile(demand):
+        if len(set(demand)) != 1:
+            raise ConfigError("common-demand scheme needs identical demand entries")
+        d = demand[0]
+        lo, bits = offsets[d - 1], sizes[d - 1]
+        gather = np.full((bits + (-bits) % F, 1), PAD, dtype=np.int64)
+        gather[:bits, 0] = np.arange(lo, lo + bits)
+        # one span per block: a block is known when its real bits lie inside
+        # the receiver's prefix (its padding tail is known zeros)
+        spans = tuple(
+            (lo + a, lo + min(a + F, bits), a, min(a + F, bits)) for a in range(0, bits, F)
+        )
+        item = ItemIndex("uncached-part", ((d, 0, 0, bits),), frozenset(), None, 0, len(gather))
+        return (PhaseIndex(1, n, (item,), gather, spans),)
+
+    return _Delivery(cfg, cached, offsets, compile)
 
 
 def _absorb(phase: PhaseIndex, decoded: np.ndarray, values: np.ndarray, known: np.ndarray):
@@ -323,49 +367,6 @@ def _absorb(phase: PhaseIndex, decoded: np.ndarray, values: np.ndarray, known: n
             others = np.delete(rows, missing[0], axis=1)
             values[rows[:, missing[0]]] = got ^ gather_bits(values, others)
             known[rows[:, missing[0]]] = True
-
-
-def _run_common_trial(plan: SchemePlan, demand, seed) -> list[bool]:
-    cfg = plan.cfg_sim
-    if len(set(demand)) != 1:
-        raise ConfigError("common-demand scheme needs identical demand entries")
-    base = seed_material(seed)
-    n = cfg.require_n()
-    library = draw_library(cfg, base)
-    caches = build_prefix_caches(cfg, library, plan.allocation_array())
-    d_star = demand[0]
-    msg = library[d_star - 1]
-    msg_bits = len(msg)
-    if msg_bits == 0:
-        return [True] * cfg.K
-    F = cfg.F
-    pad = (-msg_bits) % F
-    blocks = np.concatenate([msg, np.zeros(pad, np.uint8)]).reshape(-1, F)
-    B = blocks.shape[0]
-    payloads = codec.encode_payloads(blocks, n, 1, base)
-    realization = transmit(payloads, cfg.deltas, base)
-    flags = []
-    for k in range(1, cfg.K + 1):
-        prefix = caches.prefix(k, d_star)
-        p_bits = prefix.size
-        known = {}
-        for b in range(B):
-            real_end = min((b + 1) * F, msg_bits)
-            # block known when its real bits sit inside the prefix (the
-            # padding tail is known zeros for everyone)
-            if real_end <= p_bits or b * F >= msg_bits:
-                v = np.zeros(F, dtype=np.uint8)
-                lo, hi = b * F, min(real_end, p_bits)
-                if hi > lo:
-                    v[: hi - lo] = prefix[lo:hi]
-                known[b] = v
-        idx = realization.received_indices(k)
-        result = codec.decode_arrays(idx, realization.inputs[idx], B, 1, base, known)
-        if not result.ok:
-            flags.append(False)
-            continue
-        flags.append(np.array_equal(result.blocks.reshape(-1)[:msg_bits], msg))
-    return flags
 
 
 def _plan_from_parameters(cfg: SystemConfig, scheme: str, params: SchemeParameters) -> SchemePlan:
@@ -404,13 +405,12 @@ def run_trial(cfg: SystemConfig, scheme: str, params, demand, seed) -> list[bool
 
 def _trial_runner(cfg: SystemConfig, plan: SchemePlan, demands):
     """``run(demand, seed) -> flags`` for the trials of one experiment over
-    ``demands``; an XOR scheme compiles each distinct demand once."""
+    ``demands``; each distinct demand is compiled once.  A plan with a cache
+    allocation (common demand) places prefixes, any other places subsets."""
     for demand in demands:
         if not cfg.demand_set.contains(demand, cfg.K, cfg.D):
             raise ConfigError(f"demand {demand} is not in the feasible set")
-    if plan.scheme == "common-demand":
-        return lambda demand, seed: _run_common_trial(plan, demand, seed)
-    delivery = _XorDelivery(plan)
+    delivery = (_prefix_delivery if plan.allocation is not None else _subset_delivery)(plan)
     compiled = {d: delivery.compile(d) for d in dict.fromkeys(demands)}
     return lambda demand, seed: delivery.run(compiled[demand], demand, seed)
 

@@ -122,3 +122,30 @@ def test_truncation_fallback_uses_late_packets():
     A_sub = A[chosen]
     x, _ = codec.solve_gf2(A_sub, np.zeros((len(chosen), 1), np.uint8))
     assert res.ok == (x is not None)
+
+
+def test_unit_blocks_at_a_word_boundary_decode():
+    # F=1 and u+1 = 64 columns: the packed system is exactly one word wide
+    b = blocks_of(63, F=1, seed=4)
+    payloads = codec.encode_payloads(b, 74, 1, 5)
+    res = codec.decode_arrays(np.arange(74), payloads, 63, 1, 5)
+    assert res.ok and np.array_equal(res.blocks, b)
+
+
+def test_full_rank_frequency_matches_exact_probability():
+    """A random (u+s) x u GF(2) matrix has full rank with probability
+    prod_{i=s+1}^{u+s} (1 - 2^-i); the decoder's success count over N
+    independent systems lies within 4 binomial sigma of it."""
+    u, F, N = 64, 16, 2000
+    b = blocks_of(u, F=F, seed=9)
+    for s in (0, 1, 4):
+        p = float(np.prod(1.0 - 2.0 ** -np.arange(s + 1, u + s + 1)))
+        ok = 0
+        for j in range(N):
+            payloads = codec.encode_payloads(b, u + s, 0, [s, j])
+            res = codec.decode_arrays(np.arange(u + s), payloads, u, 0, [s, j])
+            if res.ok:
+                assert np.array_equal(res.blocks, b)
+                ok += 1
+        sigma = np.sqrt(N * p * (1 - p))
+        assert abs(ok - N * p) <= 4 * sigma, (s, ok, N * p, sigma)

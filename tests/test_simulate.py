@@ -131,6 +131,36 @@ def test_common_demand_scheme_backoff_and_overload():
     assert rep2.max_individual_failure_rate() >= 0.5
 
 
+def test_common_demand_reports_pinned():
+    """K=3, F=3 common demand whose cache prefixes end inside a block, so
+    the block-level known rule matters: each report is pinned by sha256."""
+    import hashlib
+
+    cfg = SystemConfig(
+        K=3, D=2, F=3, deltas=[0.7, 0.5, 0.2], rates=[2.2, 1.7], memories=[2.2, 1.0, 0.2],
+        n=250, demand_set=DemandSet(kind="common"),
+    )
+    expected = {
+        0.9: "25e49f795bab920db6017a0b822b9cbb4d06737aca0a2152a5e3b2886baac138",
+        1.05: "06ab9cfdcbf0887aa2028a52799550c865370937501765ca1e6c9dab31f39c64",
+    }
+    for backoff, digest in expected.items():
+        report = estimate_pe(cfg, "common-demand", backoff=backoff, trials=20, seed=0).to_dict()
+        del report["elapsed_s"]
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_common_demand_unit_blocks_decode():
+    # F=1: receiver 2 has 255 unknown blocks of message 1, so its system and
+    # right-hand side fill exactly four 64-bit words; the decode stays a result
+    cfg = SystemConfig(
+        K=3, D=2, F=1, deltas=[0.6, 0.4, 0.2], rates=[0.9, 0.5], memories=[0.9, 0.4, 0.15],
+        n=500, demand_set=DemandSet(kind="common"),
+    )
+    rep = estimate_pe(cfg, "common-demand", backoff=0.9, trials=1, seed=0)
+    assert rep.trials == 1 and 0.0 <= rep.pe_hat <= 1.0
+
+
 def test_plan_validation_errors():
     cfg = cfg_joint()
     with pytest.raises(ConfigError):
