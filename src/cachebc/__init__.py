@@ -42,12 +42,12 @@ from .placement import (
     sub_message_layout,
 )
 from .schedule import (
-    PayloadItem,
+    ItemIndex,
+    PhaseIndex,
     PhaseSchedule,
     build_schedule,
     receiver_unknown_bits,
     verify_schedule,
-    xor_group,
 )
 from .channel import ChannelRealization, transmit
 from .codec import DecodeResult, coefficient_rows, solve_gf2

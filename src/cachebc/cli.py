@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .model import ConfigError, SchemeParameters, load_config
-from .placement import draw_library, sub_message_layout, build_caches
+from .placement import sub_message_layout, build_caches
 from .regions import (
     DegenerateChannelError,
     OutOfRegimeError,
@@ -182,9 +182,9 @@ def cmd_schedule_show(args) -> tuple[int, str]:
     plan = plan_scheme(cfg, args.scheme, backoff=args.backoff)
     cfg_sim = plan.cfg_sim
     layout = sub_message_layout(cfg_sim, plan.K0, plan.t, plan.layout_memory)
-    library = draw_library(cfg_sim, args.seed)
-    build_caches(cfg_sim, library, layout)  # raises CapacityError on overflow
-    sched = build_schedule(cfg_sim, plan.params, layout, demand, library)
+    blank = [np.zeros(layout.message_bits, np.uint8)] * cfg_sim.D
+    build_caches(cfg_sim, blank, layout)  # raises CapacityError on overflow
+    sched = build_schedule(cfg_sim, plan.params, layout, demand)
     phases = []
     for p, phase in enumerate(sched.phases, start=1):
         items = [
@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scheme", choices=[s for s in SCHEMES if s != "common-demand"], default="general")
     sp.add_argument("--demand", required=True, help="comma-separated demand tuple")
     sp.add_argument("--backoff", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--margin", type=float, default=1.0)
     sp.set_defaults(fn=cmd_schedule_show)
 

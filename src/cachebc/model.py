@@ -25,6 +25,8 @@ __all__ = [
     "SchemeParameters",
     "validate_config",
     "validate_demand",
+    "check_k0_t",
+    "check_memory",
     "config_from_dict",
     "config_from_json",
     "config_to_dict",
@@ -49,6 +51,26 @@ def validate_demand(d, K: int, D: int) -> tuple[int, ...]:
         if not 1 <= x <= D:
             raise ConfigError(f"demand entry {x} outside 1..{D}")
     return d
+
+
+def check_k0_t(K0: int, t: int, K: int | None = None) -> None:
+    """The subset-caching rule: K0 cached receivers (at most K, when given)
+    and fragments shared by subsets of size t in 1..K0-1, or t = 1 when
+    K0 = 1."""
+    if K0 < 1 or (K is not None and K0 > K):
+        within = f"lie in 1..K={K}" if K is not None else "be >= 1"
+        raise ConfigError(f"K0 must {within}, got {K0}")
+    if K0 == 1:
+        if t != 1:
+            raise ConfigError("t must be 1 when K0 = 1")
+    elif not 1 <= t <= K0 - 1:
+        raise ConfigError(f"t must lie in 1..K0-1={K0 - 1}, got {t}")
+
+
+def check_memory(M: float) -> None:
+    """A per-receiver cache size M must be finite and nonnegative."""
+    if not (math.isfinite(M) and M >= 0):
+        raise ConfigError(f"M must be finite and >= 0, got {M}")
 
 
 @dataclass(frozen=True)
@@ -229,13 +251,7 @@ class SchemeParameters:
         )
 
     def validate(self, K: int) -> "SchemeParameters":
-        if not 1 <= self.K0 <= K:
-            raise ConfigError(f"K0 must lie in 1..K={K}, got {self.K0}")
-        if self.K0 == 1:
-            if self.t != 1:
-                raise ConfigError("t must be 1 when K0 = 1")
-        elif not 1 <= self.t <= self.K0 - 1:
-            raise ConfigError(f"t must lie in 1..K0-1={self.K0 - 1}, got {self.t}")
+        check_k0_t(self.K0, self.t, K)
         if len(self.beta) != K:
             raise ConfigError(f"beta must have K={K} entries, got {len(self.beta)}")
         if any(b < -1e-12 for b in self.beta):

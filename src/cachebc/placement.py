@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from ._seeding import LIBRARY_STREAM, derived_rng
-from .model import ConfigError, SystemConfig
+from .model import ConfigError, SystemConfig, check_k0_t, check_memory
 from .regions import OutOfRegimeError
 
 __all__ = [
@@ -43,10 +43,7 @@ class CapacityError(ValueError):
 
 def enumerate_cache_subsets(K0: int, t: int) -> list[tuple[int, ...]]:
     """All C(K0, t) size-t subsets of {1..K0} in lexicographic order."""
-    if K0 < 1 or not 1 <= t <= max(1, K0):
-        raise ConfigError(f"need 1 <= t <= K0, got t={t}, K0={K0}")
-    if K0 > 1 and t > K0 - 1:
-        raise ConfigError(f"t must be < K0 for K0 >= 2, got t={t}, K0={K0}")
+    check_k0_t(K0, t)
     return list(combinations(range(1, K0 + 1), t))
 
 
@@ -113,9 +110,9 @@ def sub_message_layout(cfg: SystemConfig, K0: int, t: int, M: float) -> SubMessa
     """
     n = cfg.require_n()
     R = cfg.equal_rate()
-    if M < 0:
-        raise ConfigError("M must be >= 0")
-    subsets = tuple(enumerate_cache_subsets(K0, t)) if K0 >= 1 else ()
+    check_k0_t(K0, t, cfg.K)
+    check_memory(M)
+    subsets = tuple(enumerate_cache_subsets(K0, t))
     tau = len(subsets)
     r_c = M / (cfg.D * math.comb(K0 - 1, t - 1))
     r_u = R - M * K0 / (cfg.D * t)

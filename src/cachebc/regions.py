@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
-from .model import ConfigError, SystemConfig
+from .model import ConfigError, SystemConfig, check_k0_t, check_memory
 
 __all__ = [
     "OutOfRegimeError",
@@ -112,8 +112,7 @@ def _check_two_rx(delta1, delta2, F, D, M):
         raise ConfigError(f"need 0 <= delta2 <= delta1 < 1, got ({delta1}, {delta2})")
     if F < 1 or D < 1:
         raise ConfigError("F and D must be positive")
-    if M < 0:
-        raise ConfigError("M must be >= 0")
+    check_memory(M)
 
 
 def two_rx_symmetric_rate(delta1, delta2, F, D, M) -> float:
@@ -195,18 +194,6 @@ def two_rx_joint_rate(delta1, delta2, F, D, M) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _check_k0_t(K: int, K0: int, t: int, allow_k0_1: bool = False):
-    if not 1 <= K0 <= K:
-        raise ConfigError(f"K0 must lie in 1..K={K}, got {K0}")
-    if K0 == 1:
-        if not allow_k0_1:
-            raise ConfigError("K0 must be >= 2 for this operation")
-        if t != 1:
-            raise ConfigError("t must be 1 when K0 = 1")
-    elif not 1 <= t <= K0 - 1:
-        raise ConfigError(f"t must lie in 1..K0-1={K0 - 1}, got {t}")
-
-
 def _as_piggyback_matrix(C, K0: int, ntail: int) -> np.ndarray:
     if C is None:
         return np.zeros((K0, ntail))
@@ -229,9 +216,12 @@ def general_conditions_feasible(cfg: SystemConfig, K0, t, R, M, C=None, tol=TOL)
     LP oracle (phase_lp_max_rate) is the operational ground truth and the
     two are audited against each other.
     """
-    _check_k0_t(cfg.K, K0, t)
-    if M < 0 or R < 0:
-        raise ConfigError("R and M must be >= 0")
+    if K0 == 1:
+        raise ConfigError("K0 must be >= 2 for this operation")
+    check_k0_t(K0, t, cfg.K)
+    check_memory(M)
+    if R < 0:
+        raise ConfigError("R must be >= 0")
     C = _as_piggyback_matrix(C, K0, cfg.K - K0)
     A, b, _, _ = _printed_conditions_lp(cfg, K0, t, M)
     x = np.concatenate(([R], C.ravel()))
@@ -299,8 +289,7 @@ def general_max_symmetric_rate(cfg: SystemConfig, K0, M) -> GeneralConditionsRes
     K = cfg.K
     if not 2 <= K0 <= K:
         raise ConfigError(f"K0 must lie in 2..K={K} for the published conditions, got {K0}")
-    if M < 0:
-        raise ConfigError("M must be >= 0")
+    check_memory(M)
     best = None
     for t in range(1, K0):
         A, b, nv, ntail = _printed_conditions_lp(cfg, K0, t, M)
@@ -512,9 +501,8 @@ def phase_lp_max_rate(cfg: SystemConfig, K0, M, t) -> PhaseLpResult:
     ``cached_rate_per_fragment`` reports what is actually used, which keeps
     the maximum rate nondecreasing in M.
     """
-    _check_k0_t(cfg.K, K0, t, allow_k0_1=True)
-    if M < 0:
-        raise ConfigError("M must be >= 0")
+    check_k0_t(K0, t, cfg.K)
+    check_memory(M)
     A, b, A_eq, b_eq, nv, ix = _phase_lp_rows(cfg, K0, t)
     bounds = _max_rate_bounds(cfg, K0, t, M, ix["ntail"])
     c = np.zeros(nv)
@@ -550,7 +538,7 @@ def max_min_slack_assignment(
     unweighted minimum slack of the chosen point, in bits per channel use.
     """
     K, D = cfg.K, cfg.D
-    _check_k0_t(K, K0, t, allow_k0_1=True)
+    check_k0_t(K0, t, K)
     A, b, A_eq, b_eq, nv, ix = _phase_lp_rows(cfg, K0, t)
     if weights:
         A = A.copy()

@@ -22,10 +22,11 @@ earliest bits first.  The amounts depend only on the layout and the scheme
 parameters, so ``piggyback_grants`` computes them once for any number of
 demands.
 
-The schedule's structure does not depend on the library bits:
-``index_schedule`` gives every payload bit as the library positions whose
-XOR it is (see ``PhaseIndex``), and ``build_schedule`` gathers those
-positions from one library into ``PayloadItem`` bits.
+The schedule does not depend on the library bits: ``index_schedule`` gives
+every payload bit as the library positions whose XOR it is (see
+``PhaseIndex``), and ``gather_bits`` reads those positions from one library
+laid out by ``flat_library``.  ``build_schedule`` is the schedule of one
+demand with its piggyback max-flow run alongside.
 
 Verification mirrors the per-phase LP accounting: piggyback bits count as
 known only at the phase owner (the extra knowledge other cached receivers
@@ -48,14 +49,11 @@ from .placement import SubMessageLayout
 
 __all__ = [
     "PAD",
-    "PayloadItem",
-    "SchedulePhase",
     "PhaseSchedule",
     "ItemIndex",
     "PhaseIndex",
     "flat_library",
     "gather_bits",
-    "xor_group",
     "piggyback_grants",
     "index_schedule",
     "build_schedule",
@@ -78,71 +76,28 @@ def gather_bits(flat: np.ndarray, gather: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PayloadItem:
-    """One transmitted unit inside a phase.
+class ItemIndex:
+    """One transmitted unit inside a phase: rows ``start:stop`` of its
+    phase's gather map.
 
     ``constituents`` are (message d, fragment i, start, stop) bit ranges; an
     XOR group lists the t+1 full fragments it combines, plain items list the
-    ranges they concatenate.  ``bits`` is the transmitted string, padded with
-    zeros to a multiple of F.  ``known_to`` is the set of receivers able to
-    reconstruct every constituent bit from cache alone; ``owner`` is the
-    phase receiver for piggyback slices.
+    ranges they concatenate.  The rows are padded to a multiple of F.
+    ``known_to`` is the set of receivers able to reconstruct every
+    constituent bit from cache alone; ``owner`` is the phase receiver for
+    piggyback slices.
     """
 
     kind: str  # 'xor-group' | 'uncached-part' | 'piggyback-slice'
-    constituents: tuple[tuple[int, int, int, int], ...]
-    bits: np.ndarray
-    known_to: frozenset[int]
-    owner: int | None = None
-
-    @property
-    def padded_bits(self) -> int:
-        return int(len(self.bits))
-
-    @property
-    def data_bits(self) -> int:
-        if self.kind == "xor-group":
-            return self.constituents[0][3] - self.constituents[0][2]
-        return sum(b - a for (_, _, a, b) in self.constituents)
-
-
-@dataclass(frozen=True)
-class SchedulePhase:
-    receiver: int
-    budget_uses: int
-    items: tuple[PayloadItem, ...]
-
-    @property
-    def payload_bits(self) -> int:
-        return sum(it.padded_bits for it in self.items)
-
-
-@dataclass(frozen=True)
-class PhaseSchedule:
-    demand: tuple[int, ...]
-    phases: tuple[SchedulePhase, ...]
-    params: SchemeParameters
-    layout: SubMessageLayout
-    n: int
-    F: int
-    piggyback_shortfall_bits: int = 0  # requested minus assignable slice bits
-
-    @property
-    def total_budget_uses(self) -> int:
-        return sum(p.budget_uses for p in self.phases)
-
-
-@dataclass(frozen=True)
-class ItemIndex:
-    """A payload item without its bits: rows ``start:stop`` of its phase's
-    gather map."""
-
-    kind: str
     constituents: tuple[tuple[int, int, int, int], ...]
     known_to: frozenset[int]
     owner: int | None
     start: int
     stop: int
+
+    @property
+    def padded_bits(self) -> int:
+        return self.stop - self.start
 
 
 @dataclass(frozen=True)
@@ -162,6 +117,13 @@ class PhaseIndex:
     items: tuple[ItemIndex, ...]
     gather: np.ndarray
     spans: tuple[tuple[int, int, int, int], ...]
+
+
+@dataclass(frozen=True)
+class PhaseSchedule:
+    demand: tuple[int, ...]
+    phases: tuple[PhaseIndex, ...]
+    piggyback_shortfall_bits: int = 0  # requested minus assignable slice bits
 
 
 def _known_to_subset(layout: SubMessageLayout, constituents, K: int) -> frozenset[int]:
@@ -191,28 +153,14 @@ def _item_rows(layout: SubMessageLayout, kind: str, constituents, width: int, ro
 
 
 def _xor_constituents(layout: SubMessageLayout, demand, S):
-    S = tuple(sorted(int(x) for x in S))
-    if len(S) != layout.t + 1 or not all(1 <= k <= layout.K0 for k in S):
-        raise ConfigError(f"S must be t+1={layout.t + 1} receivers within 1..K0, got {S}")
+    """The XOR group of a set S of t+1 cached receivers: member k contributes
+    the fragment of its demand whose caching subset is exactly S minus k, so
+    every member can strip the other t from cache."""
     constituents = []
     for k in S:
-        i_k = layout.subset_index(tuple(x for x in S if x != k))  # KeyError when not a caching subset
+        i_k = layout.subset_index(tuple(x for x in S if x != k))
         constituents.append((demand[k - 1], i_k, 0, layout.piece_bits[i_k]))
     return tuple(constituents)
-
-
-def xor_group(library, layout: SubMessageLayout, demand, S) -> PayloadItem:
-    """XOR of the t+1 fragments indexed by a set S of t+1 cached receivers:
-    member k contributes the fragment of its demand whose caching subset is
-    exactly S minus k, so every member can strip the other t from cache."""
-    constituents = _xor_constituents(layout, demand, S)
-    gather, _ = _item_rows(layout, "xor-group", constituents, len(constituents))
-    return PayloadItem(
-        kind="xor-group",
-        constituents=constituents,
-        bits=gather_bits(flat_library(library), gather),
-        known_to=_known_to_subset(layout, constituents, len(demand)),
-    )
 
 
 # -- piggyback slice assignment ---------------------------------------------
@@ -375,33 +323,15 @@ def build_schedule(
     params: SchemeParameters,
     layout: SubMessageLayout,
     demand,
-    library,
 ) -> PhaseSchedule:
-    """The K-phase delivery schedule for one demand tuple, with every item's
-    bits gathered from ``library`` (see ``index_schedule``)."""
+    """The K-phase delivery schedule for one demand tuple (``index_schedule``
+    with the grants of ``piggyback_grants``) and its piggyback shortfall."""
     grants, shortfall = piggyback_grants(cfg, params, layout)
     phases = index_schedule(cfg, params, layout, grants, demand)
-    flat = flat_library(library)
-    view = []
-    for phase in phases:
-        bits = gather_bits(flat, phase.gather)
-        items = tuple(
-            PayloadItem(it.kind, it.constituents, bits[it.start : it.stop], it.known_to, it.owner)
-            for it in phase.items
-        )
-        view.append(SchedulePhase(phase.receiver, phase.budget_uses, items))
-    return PhaseSchedule(
-        demand=validate_demand(demand, cfg.K, cfg.D),
-        phases=tuple(view),
-        params=params,
-        layout=layout,
-        n=cfg.require_n(),
-        F=cfg.F,
-        piggyback_shortfall_bits=shortfall,
-    )
+    return PhaseSchedule(validate_demand(demand, cfg.K, cfg.D), phases, shortfall)
 
 
-def _counts_unknown(item: PayloadItem, j: int) -> bool:
+def _counts_unknown(item: ItemIndex, j: int) -> bool:
     """Accounting rule shared with the phase LP: piggyback bits are credited
     only to the phase owner; everything else to receivers caching it all."""
     if item.kind == "piggyback-slice":

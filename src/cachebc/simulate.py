@@ -141,8 +141,8 @@ def plan_scheme(
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if backoff <= 0:
-        raise ConfigError("backoff must be positive")
+    if not (math.isfinite(backoff) and backoff > 0):
+        raise ConfigError(f"backoff must be finite and positive, got {backoff}")
 
     if scheme == "common-demand":
         if cfg.demand_set.kind != "common":
@@ -661,9 +661,7 @@ def sweep_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def audit_conditions(
-    cfg: SystemConfig, K0: int, M: float, t: int, demand=None, library_seed: int = 0
-) -> dict:
+def audit_conditions(cfg: SystemConfig, K0: int, M: float, t: int, demand=None) -> dict:
     """Cross-audit the published feasibility conditions against the
     per-phase LP oracle, and check the LP point operationally.
 
@@ -698,9 +696,9 @@ def audit_conditions(
         cfg_lp = replace(cfg, rates=(lp.rate,) * cfg.D, memories=mems)
         m_eff = lp.cached_rate_per_fragment * cfg.D * math.comb(K0 - 1, t - 1)
         layout = sub_message_layout(cfg_lp, K0, t, m_eff)
-        library = draw_library(cfg_lp, library_seed)
-        build_caches(cfg_lp, library, layout)  # raises CapacityError on overflow
+        blank = [np.zeros(layout.message_bits, np.uint8)] * cfg.D
+        build_caches(cfg_lp, blank, layout)  # raises CapacityError on overflow
         params = SchemeParameters(K0=K0, t=t, beta=lp.beta, piggyback=lp.piggyback)
-        sched = build_schedule(cfg_lp, params, layout, demand, library)
+        sched = build_schedule(cfg_lp, params, layout, demand)
         out["verify_ok"] = verify_schedule(sched, cfg_lp, margin=1.0).ok
     return out

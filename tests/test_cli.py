@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -163,6 +164,61 @@ def test_schedule_show(capsys, sim_cfg):
     kinds = [it["kind"] for it in payload["phases"][0]["items"]]
     assert kinds == ["uncached-part", "piggyback-slice"]
     assert payload["verify_ok"] is True
+
+
+_K4 = {
+    "K": 4, "D": 4, "F": 16, "deltas": [0.8, 0.6, 0.4, 0.2], "rates": [1.0] * 4,
+    "memories": [0.5, 0.5, 0.5, 0.0], "n": 400,
+}
+_JOINT = {
+    "K": 2, "D": 4, "F": 16, "deltas": [0.8, 0.2], "rates": [1.0] * 4,
+    "memories": [0.8, 0.0], "n": 4000,
+}
+
+
+@pytest.mark.parametrize(
+    "config,argv,digest",
+    [
+        (_K4, ["--demand", "1,2,1,1", "--backoff", "0.6"],
+         "be3d6a452e217505d1b90c19717a4835ce540f559202b2907e28a10ab720ed11"),
+        (_K4, ["--demand", "3,3,3,2", "--backoff", "0.6"],
+         "c8940e108f366c5223e64eb3e40e7c5b7b846cff0fd896aa2d0ffcd43482b5b6"),
+        (_JOINT, ["--scheme", "joint-2rx", "--demand", "1,2", "--backoff", "0.9"],
+         "d6638c2c10f04279427a22cdb4fbab05c74eb2f8d254a2ca5ed4bb0b840ebc9c"),
+    ],
+    ids=["k4-1211", "k4-3332", "joint-2rx"],
+)
+def test_schedule_show_stdout_pinned(capsys, tmp_path, config, argv, digest):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, ["schedule-show", "--config", str(path)] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_schedule_show_rejects_removed_flags(sim_cfg):
+    base = ["schedule-show", "--config", sim_cfg, "--scheme", "joint-2rx", "--demand", "1,2"]
+    assert main(base) == 0
+    assert main(base + ["--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["placement-show", "--K0", "0", "--t", "1"], "K0"),
+        (["placement-show", "--K0", "3", "--t", "1"], "K0"),  # K = 2
+        (["placement-show", "--K0", "1", "--t", "1", "--M", "nan"], "M"),
+        (["optimize", "--mode", "phase-lp", "--M", "inf"], "M"),
+        (["optimize", "--mode", "phase-lp", "--M", "nan"], "M"),
+        (["optimize", "--mode", "general", "--K0", "2", "--M", "inf"], "M"),
+        (["simulate", "--scheme", "joint-2rx", "--backoff", "inf", "--trials", "1"], "backoff"),
+        (["simulate", "--scheme", "joint-2rx", "--backoff", "nan", "--trials", "1"], "backoff"),
+    ],
+)
+def test_bad_inputs_exit_two_naming_the_field(capsys, sim_cfg, argv, field):
+    code, out, err = run(capsys, argv[:1] + ["--config", sim_cfg] + argv[1:])
+    assert code == 2 and out == ""
+    assert f"error: {field} must" in err
 
 
 def test_simulate_json_and_byte_identical(capsys, sim_cfg):

@@ -70,6 +70,20 @@ def test_layout_regime_error():
         sub_message_layout(cfg, 3, 2, 3.0)
 
 
+def test_layout_domain_errors():
+    cfg = make_cfg()  # K = 3
+    for K0, t, M, field in [
+        (0, 1, 1.5, "K0"),
+        (4, 1, 1.5, "K0"),
+        (3, 3, 1.5, "t"),
+        (3, 2, math.nan, "M"),
+        (3, 2, math.inf, "M"),
+        (3, 2, -0.1, "M"),
+    ]:
+        with pytest.raises(ConfigError, match=field):
+            sub_message_layout(cfg, K0, t, M)
+
+
 def test_layout_partition_and_padding():
     cfg = make_cfg(F=16, R=1.97, n=1001, mems=(0.9, 0.9, 0.9))
     layout = sub_message_layout(cfg, 3, 2, 0.9)

@@ -162,6 +162,9 @@ def test_two_rx_precondition_errors():
         two_rx_symmetric_rate(0.2, 0.8, F, D, 0.0)
     with pytest.raises(ConfigError):
         two_rx_symmetric_rate(1.0, 0.2, F, D, 0.0)
+    for M in (math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigError, match="M must be finite"):
+            two_rx_joint_rate(D1, D2, F, D, M)
 
 
 # -- degraded message sets ----------------------------------------------------
@@ -209,6 +212,13 @@ def test_conditions_domain_errors(cfg_3rx):
         general_conditions_feasible(cfg_3rx, 2, 2, 0.1, 0.1)
     with pytest.raises(ConfigError):
         general_conditions_feasible(cfg_3rx, 2, 0, 0.1, 0.1)
+    for M in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="M must be finite"):
+            general_conditions_feasible(cfg_3rx, 2, 1, 0.1, M)
+        with pytest.raises(ConfigError, match="M must be finite"):
+            general_max_symmetric_rate(cfg_3rx, 2, M)
+        with pytest.raises(ConfigError, match="M must be finite"):
+            phase_lp_max_rate(cfg_3rx, 2, M, 1)
 
 
 def test_general_max_rate_hand_instance(cfg_3rx):

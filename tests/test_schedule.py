@@ -21,8 +21,8 @@ from cachebc import (
     receiver_unknown_bits,
     sub_message_layout,
     verify_schedule,
-    xor_group,
 )
+from cachebc.schedule import flat_library, gather_bits
 
 
 def fresh(K, D, F, deltas, R, mems, n):
@@ -41,7 +41,7 @@ def build_all(cfg, K0, t, M, demand, rate=None, seed=0, force_zero_piggyback=Fal
     lib = draw_library(cfg, seed)
     caches = build_caches(cfg, lib, layout)
     params = SchemeParameters(K0=K0, t=t, beta=fit.beta, piggyback=fit.piggyback)
-    sched = build_schedule(cfg, params, layout, demand, lib)
+    sched = build_schedule(cfg, params, layout, demand)
     return cfg, layout, lib, caches, sched, fit
 
 
@@ -107,11 +107,26 @@ def assert_no_duplicates(plain, xored):
 # -- XOR groups ----------------------------------------------------------------
 
 
+def find_xor_group(lib, cfg, layout, demand, S):
+    """The XOR-group item of receiver set S in the schedule of ``demand`` (all
+    receivers cached, every channel use in phase 1) and its payload bits."""
+    beta = (1.0,) + (0.0,) * (cfg.K - 1)
+    params = SchemeParameters(K0=layout.K0, t=layout.t, beta=beta, piggyback=())
+    phase = build_schedule(cfg, params, layout, demand).phases[min(S) - 1]
+    item = next(
+        it
+        for it in phase.items
+        if it.kind == "xor-group"
+        and set().union(*(layout.subsets[c[1]] for c in it.constituents)) == set(S)
+    )
+    return item, gather_bits(flat_library(lib), phase.gather[item.start : item.stop])
+
+
 def test_xor_group_forced_indices_k0_3():
     cfg = fresh(3, 3, 1, [0.8, 0.5, 0.2], 2.0, [1.5, 1.5, 1.5], 600)
     layout = sub_message_layout(cfg, 3, 2, 1.5)
     lib = draw_library(cfg, 1)
-    item = xor_group(lib, layout, (1, 2, 3), {1, 2, 3})
+    item, _ = find_xor_group(lib, cfg, layout, (1, 2, 3), {1, 2, 3})
     # member k contributes the fragment cached at the other two receivers
     by_member = {c[0]: c[1] for c in item.constituents}
     assert layout.subsets[by_member[1]] == (2, 3)
@@ -123,11 +138,11 @@ def test_xor_group_k0_2_pairwise():
     cfg = fresh(2, 4, 1, [0.8, 0.2], 2.0, [1.0, 1.0], 400)
     layout = sub_message_layout(cfg, 2, 1, 1.0)
     lib = draw_library(cfg, 2)
-    item = xor_group(lib, layout, (3, 1), {1, 2})
+    _, bits = find_xor_group(lib, cfg, layout, (3, 1), {1, 2})
     off0, ln = layout.piece_offset(0), layout.piece_bits[0]
     off1 = layout.piece_offset(1)
     expect = lib[2][off1 : off1 + ln] ^ lib[0][off0 : off0 + ln]
-    assert np.array_equal(item.bits[:ln], expect)
+    assert np.array_equal(bits[:ln], expect)
 
 
 def test_xor_group_member_recovers_constituent():
@@ -136,9 +151,9 @@ def test_xor_group_member_recovers_constituent():
     lib = draw_library(cfg, 3)
     caches = build_caches(cfg, lib, layout)
     demand = (2, 3, 1)
-    item = xor_group(lib, layout, demand, {1, 2, 3})
+    item, bits = find_xor_group(lib, cfg, layout, demand, {1, 2, 3})
     for k in (1, 2, 3):
-        acc = item.bits.copy()
+        acc = bits.copy()
         mine = None
         for (d, i, a, b) in item.constituents:
             if caches.has_piece(k, d, i):
@@ -151,14 +166,6 @@ def test_xor_group_member_recovers_constituent():
         d, i = mine
         off = layout.piece_offset(i)
         assert np.array_equal(acc[: layout.piece_bits[i]], lib[d - 1][off : off + layout.piece_bits[i]])
-
-
-def test_xor_group_bad_subset():
-    cfg = fresh(3, 3, 1, [0.8, 0.5, 0.2], 2.0, [1.5, 1.5, 1.5], 600)
-    layout = sub_message_layout(cfg, 3, 2, 1.5)
-    lib = draw_library(cfg, 1)
-    with pytest.raises(ConfigError):
-        xor_group(lib, layout, (1, 2, 3), {1, 2})  # wrong size
 
 
 # -- schedule structure ---------------------------------------------------------
@@ -198,7 +205,8 @@ def test_schedule_zero_piggyback_is_separate_layering():
     )
     assert all(it.kind != "piggyback-slice" for p in sched.phases for it in p.items)
     # phase 3 then carries the whole demanded message of receiver 3
-    assert sum(it.data_bits for it in sched.phases[2].items) == layout.message_bits
+    phase3 = sched.phases[2].items
+    assert sum(b - a for it in phase3 for (_, _, a, b) in it.constituents) == layout.message_bits
     for k in (1, 2, 3):
         assert coverage_ok(cfg, layout, lib, caches, sched, k)
 
@@ -276,7 +284,6 @@ def test_verify_agrees_with_lp_constraints_on_random_points():
 
     cfg = fresh(3, 3, 1, [0.8, 0.5, 0.2], 0.5, [0.3, 0.3, 0.0], 24000)
     layout = sub_message_layout(cfg, 2, 1, 0.3)
-    lib = draw_library(cfg, 11)
     rng = np.random.default_rng(13)
     r_c = layout.cached_rate
     agree = 0
@@ -288,7 +295,7 @@ def test_verify_agrees_with_lp_constraints_on_random_points():
             continue
         C = (rng.uniform(0, r_c), rng.uniform(0, r_c))
         params = SchemeParameters(K0=2, t=1, beta=tuple(beta), piggyback=((C[0],), (C[1],)))
-        sched = build_schedule(cfg, params, layout, (1, 2, 3), lib)
+        sched = build_schedule(cfg, params, layout, (1, 2, 3))
         # rate-level feasibility of the same point
         R = cfg.rates[0]
         rows = [

@@ -17,6 +17,7 @@ from cachebc import (
     sweep_to_csv,
     wilson_interval,
 )
+from cachebc import simulate
 
 
 def cfg_joint(n=1200, F=8, delta=(0.8, 0.2), D=2, M1=0.8):
@@ -30,8 +31,9 @@ def test_noiseless_always_succeeds():
     cfg = cfg_joint(n=900, delta=(0.0, 0.0))
     plan = plan_scheme(cfg, "joint-2rx", backoff=0.85)
     assert plan.min_slack_bits >= 32 * cfg.F
+    run = simulate._trial_runner(cfg, plan, [(1, 2)])
     for j in range(10):
-        assert all(run_trial(cfg, "joint-2rx", plan, (1, 2), [3, 0, j]))
+        assert all(run((1, 2), [3, 0, j]))
 
 
 def test_zero_rate_vacuous_success():
@@ -47,8 +49,9 @@ def test_joint_trial_success_at_backoff():
     cfg = cfg_joint()
     plan = plan_scheme(cfg, "joint-2rx", backoff=0.8)
     ok = 0
+    run = simulate._trial_runner(cfg, plan, [(1, 2)])
     for j in range(15):
-        ok += all(run_trial(cfg, "joint-2rx", plan, (1, 2), [11, 0, j]))
+        ok += all(run((1, 2), [11, 0, j]))
     assert ok >= 14
 
 
@@ -101,8 +104,10 @@ def test_general_scheme_with_duplicates():
         memories=[0.3, 0.3, 0.0], n=2000,
     )
     plan = plan_scheme(cfg, "general", backoff=0.8)
-    for demand in [(1, 2, 3), (2, 2, 2), (3, 1, 3)]:
-        assert all(run_trial(cfg, "general", plan, demand, [8, 0, 0])), demand
+    demands = [(1, 2, 3), (2, 2, 2), (3, 1, 3)]
+    run = simulate._trial_runner(cfg, plan, demands)
+    for demand in demands:
+        assert all(run(demand, [8, 0, 0])), demand
 
 
 def test_run_trial_with_explicit_parameters():
@@ -171,6 +176,9 @@ def test_plan_validation_errors():
         plan_scheme(replace(cfg, demand_set=DemandSet(kind="full-product")), "common-demand")
     with pytest.raises(ConfigError):
         run_trial(cfg, "joint-2rx", None, (1, 5), 0)  # demand outside library
+    for backoff in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="backoff"):
+            plan_scheme(cfg, "joint-2rx", backoff)
 
 
 def test_demand_sampling_above_cap():
