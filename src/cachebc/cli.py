@@ -63,6 +63,8 @@ def _grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:step:stop, got {text!r}")
     start, step, stop = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise ConfigError(f"grid must have a finite start, step and stop, got {text!r}")
     if step <= 0:
         raise ConfigError("grid step must be positive")
     out, x = [], start

@@ -8,10 +8,13 @@ makes them once.  A trial draws a uniform library, gathers and
 random-linear-encodes each phase, pushes everything through the erasure
 channel, decodes at every receiver with the blocks it knows, absorbs
 (un-XORs) what it decoded, and compares the demanded message bit for bit.
+Trials run in blocks, phase-major: a block's runs are all transmitted
+first, then each phase is decoded at every run's receivers in one batched
+call before the next phase.
 The error probability is estimated over the union of all feasible demands:
 trial j fails when any receiver fails for any demand, with run (demand
 index, j) seeded by (base seed, demand index, j) so results are
-bit-identical regardless of execution order or thread count.
+bit-identical regardless of execution order, blocking or thread count.
 """
 
 from __future__ import annotations
@@ -227,6 +230,9 @@ def plan_scheme(
 # ---------------------------------------------------------------------------
 
 
+_BLOCK_RUNS = 32  # runs decoded together; bounds the memory a block holds
+
+
 @dataclass(frozen=True)
 class _Delivery:
     """The trials of one experiment, whatever the scheme.
@@ -243,56 +249,79 @@ class _Delivery:
     offsets: tuple[int, ...]
     compile: Callable[..., tuple[PhaseIndex, ...]]
 
-    def run(self, phases: tuple[PhaseIndex, ...], demand, seed) -> list[bool]:
+    def _send(self, phases: tuple[PhaseIndex, ...], base: list[int]):
+        """Draw a run's library, encode every phase and transmit them all.
+        Returns the flat library, the channel inputs and erasures, and the
+        channel uses of each phase (phase p owns ``uses[p-1]:uses[p]``)."""
         cfg, F = self.cfg, self.cfg.F
-        base = seed_material(seed)
         library = flat_library(draw_library(cfg, base))
-        phase_blocks = [gather_bits(library, phase.gather).reshape(-1, F) for phase in phases]
         payload_arrays = []
-        uses = [0]  # phase p owns channel uses uses[p-1]:uses[p]
-        for p, (phase, blocks) in enumerate(zip(phases, phase_blocks), start=1):
+        uses = [0]
+        for p, phase in enumerate(phases, start=1):
+            blocks = gather_bits(library, phase.gather).reshape(-1, F)
             count = phase.budget_uses
             if count > 0 and blocks.shape[0] > 0:
                 payload_arrays.append(codec.encode_payloads(blocks, count, p, base))
             else:
                 payload_arrays.append(np.zeros((max(count, 0), F), dtype=np.uint8))
             uses.append(uses[-1] + count)
+        if uses[-1] == 0:
+            return library, np.zeros((0, F), np.uint8), np.zeros((cfg.K, 0), bool), uses
+        realization = transmit(np.vstack(payload_arrays), cfg.deltas, base)
+        return library, realization.inputs, realization.erased, uses
 
-        total_uses = uses[-1]
-        realization = (
-            transmit(np.vstack(payload_arrays), cfg.deltas, base) if total_uses else None
-        )
+    def run(self, runs) -> list[list[bool]]:
+        """Per-receiver success flags of each (phases, demand, seed) run.
 
-        flags = []
-        for k in range(1, cfg.K + 1):
-            known = self.cached[k - 1].copy()
-            values = library * known
-            for p, phase in enumerate(phases[:k], start=1):
-                B = phase_blocks[p - 1].shape[0]
-                if B == 0:
+        The runs go phase-major: every run is drawn, encoded and transmitted
+        first; then phase by phase, phase p is decoded at receivers p..K of
+        every run in one ``codec.decode_batch`` call and absorbed before
+        phase p+1.  Receivers are independent, so each sees exactly what a
+        run on its own would give it."""
+        cfg, F = self.cfg, self.cfg.F
+        bases = [seed_material(seed) for _, _, seed in runs]
+        sent = [self._send(phases, base) for (phases, _, _), base in zip(runs, bases)]
+        known = [self.cached.copy() for _ in runs]  # row k-1: receiver k
+        values = [library * mask for (library, *_), mask in zip(sent, known)]
+        for p in range(1, cfg.K + 1):
+            groups, owners = [], []
+            for r, (phases, _, _) in enumerate(runs):
+                if p > len(phases) or len(phases[p - 1].gather) == 0:
                     continue
-                # a constituent range counts as known only when all its bits are
-                rows_known = np.ones(B * F, dtype=bool)
-                for lo, hi, first, stop in phase.spans:
-                    if not known[lo:hi].all():
-                        rows_known[first:stop] = False
-                known_blocks = rows_known.reshape(B, F).all(axis=1)
-                vals_blocks = gather_bits(values, phase.gather).reshape(B, F)
-                side = {int(b): vals_blocks[b] for b in np.flatnonzero(known_blocks)}
-                if realization is None:
-                    idx_local = np.zeros(0, dtype=np.int64)
-                    payloads = np.zeros((0, F), dtype=np.uint8)
-                else:
-                    span = np.arange(uses[p - 1], uses[p])
-                    keep = ~realization.erased[k - 1, span]
-                    idx_local = np.flatnonzero(keep)
-                    payloads = realization.inputs[span[keep]]
-                result = codec.decode_arrays(idx_local, payloads, B, p, base, side)
-                if result.ok:
-                    _absorb(phase, result.blocks.reshape(-1), values, known)
-            msg = slice(self.offsets[demand[k - 1] - 1], self.offsets[demand[k - 1]])
-            flags.append(bool(known[msg].all()) and np.array_equal(values[msg], library[msg]))
+                phase, (_, inputs, erased, uses) = phases[p - 1], sent[r]
+                B = len(phase.gather) // F
+                span = slice(uses[p - 1], uses[p])
+                receptions = [
+                    _reception(phase, B, F, values[r][k - 1], known[r][k - 1], erased[k - 1, span])
+                    for k in range(p, cfg.K + 1)
+                ]
+                groups.append((inputs[span], B, p, bases[r], receptions))
+                owners.append(r)
+            for r, results in zip(owners, codec.decode_batch(groups)):
+                for k, result in enumerate(results, start=p):
+                    if result.ok:
+                        decoded = result.blocks.reshape(-1)
+                        _absorb(runs[r][0][p - 1], decoded, values[r][k - 1], known[r][k - 1])
+        flags = []
+        for (_, demand, _), (library, *_), vals, kn in zip(runs, sent, values, known):
+            msgs = [slice(self.offsets[d - 1], self.offsets[d]) for d in demand]
+            flags.append([
+                bool(kn[k, m].all()) and np.array_equal(vals[k, m], library[m])
+                for k, m in enumerate(msgs)
+            ])
         return flags
+
+
+def _reception(phase: PhaseIndex, B: int, F: int, values, known, erased) -> codec.Reception:
+    """What a receiver hands the decoder for one phase: the packets it got,
+    and the blocks whose every constituent range it knows, with their values."""
+    rows_known = np.ones(B * F, dtype=bool)
+    for lo, hi, first, stop in phase.spans:
+        if not known[lo:hi].all():
+            rows_known[first:stop] = False
+    known_blocks = rows_known.reshape(B, F).all(axis=1)
+    vals_blocks = gather_bits(values, phase.gather).reshape(B, F)
+    return codec.Reception(np.flatnonzero(~erased), known_blocks, vals_blocks)
 
 
 def _cached_masks(size: int, caches, start) -> np.ndarray:
@@ -403,16 +432,22 @@ def run_trial(cfg: SystemConfig, scheme: str, params, demand, seed) -> list[bool
     return _trial_runner(cfg, plan, [demand])(demand, seed)
 
 
-def _trial_runner(cfg: SystemConfig, plan: SchemePlan, demands):
-    """``run(demand, seed) -> flags`` for the trials of one experiment over
-    ``demands``; each distinct demand is compiled once.  A plan with a cache
-    allocation (common demand) places prefixes, any other places subsets."""
+def _experiment(cfg: SystemConfig, plan: SchemePlan, demands):
+    """The delivery of one experiment over ``demands`` and each distinct
+    demand's compiled phases.  A plan with a cache allocation (common
+    demand) places prefixes, any other places subsets."""
     for demand in demands:
         if not cfg.demand_set.contains(demand, cfg.K, cfg.D):
             raise ConfigError(f"demand {demand} is not in the feasible set")
     delivery = (_prefix_delivery if plan.allocation is not None else _subset_delivery)(plan)
-    compiled = {d: delivery.compile(d) for d in dict.fromkeys(demands)}
-    return lambda demand, seed: delivery.run(compiled[demand], demand, seed)
+    return delivery, {d: delivery.compile(d) for d in dict.fromkeys(demands)}
+
+
+def _trial_runner(cfg: SystemConfig, plan: SchemePlan, demands):
+    """``run(demand, seed) -> flags`` for single trials of one experiment
+    over ``demands``; each distinct demand is compiled once."""
+    delivery, compiled = _experiment(cfg, plan, demands)
+    return lambda demand, seed: delivery.run([(compiled[demand], demand, seed)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +547,8 @@ def estimate_pe(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not isinstance(demand_cap, int) or demand_cap < 1:
+        raise ConfigError(f"demand_cap must be a positive integer, got {demand_cap!r}")
     workers = _worker_count(threads)
     t0 = time.perf_counter()
     plan = params if isinstance(params, SchemePlan) else plan_scheme(cfg, scheme, backoff, params)
@@ -527,18 +564,19 @@ def estimate_pe(
         ]
         mode = "sampled"
 
-    run = _trial_runner(cfg, plan, demands)
+    delivery, compiled = _experiment(cfg, plan, demands)
     jobs = [(di, j) for j in range(trials) for di in range(len(demands))]
+    blocks = [jobs[i : i + _BLOCK_RUNS] for i in range(0, len(jobs), _BLOCK_RUNS)]
 
-    def one(job):
-        di, j = job
-        return job, run(demands[di], [seed, di, j])
+    def one(block):
+        runs = [(compiled[demands[di]], demands[di], [seed, di, j]) for di, j in block]
+        return zip(block, delivery.run(runs))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one, jobs))
+            results = [r for block in ex.map(one, blocks) for r in block]
     else:
-        results = [one(job) for job in jobs]
+        results = [r for block in blocks for r in one(block)]
 
     fail_counts = [[0] * cfg.K for _ in demands]
     union_fail = [False] * trials

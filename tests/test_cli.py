@@ -221,6 +221,22 @@ def test_bad_inputs_exit_two_naming_the_field(capsys, sim_cfg, argv, field):
     assert f"error: {field} must" in err
 
 
+@pytest.mark.parametrize("grid", ["0:1:inf", "nan:0.1:1", "0:nan:1", "-inf:1:0"])
+def test_region_sweep_rejects_non_finite_grid(capsys, sweep_cfg, grid):
+    # an infinite stop used to loop forever, a NaN bound to give a silent grid
+    code, out, err = run(capsys, ["region-sweep", "--config", sweep_cfg, f"--grid={grid}"])
+    assert code == 2 and out == ""
+    assert "error: grid must" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_simulate_rejects_demand_cap_below_one(capsys, sim_cfg, cap):
+    argv = ["simulate", "--config", sim_cfg, "--scheme", "joint-2rx", "--trials", "1"]
+    code, out, err = run(capsys, argv + ["--demand-cap", cap])
+    assert code == 2 and out == ""
+    assert "error: demand_cap must" in err
+
+
 def test_simulate_json_and_byte_identical(capsys, sim_cfg):
     argv = [
         "simulate", "--config", sim_cfg, "--scheme", "joint-2rx",

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachebc import codec
 
@@ -149,3 +152,159 @@ def test_full_rank_frequency_matches_exact_probability():
                 ok += 1
         sigma = np.sqrt(N * p * (1 - p))
         assert abs(ok - N * p) <= 4 * sigma, (s, ok, N * p, sigma)
+
+
+# -- the batched elimination kernel -------------------------------------------
+
+
+def reference_solve(rows, rhs):
+    """Textbook Gauss-Jordan over unpacked bits, one column at a time."""
+    m, u = rows.shape
+    M = np.concatenate([rows, rhs], axis=1).astype(np.uint8)
+    rank = 0
+    for c in range(u):
+        hits = np.flatnonzero(M[rank:, c]) + rank
+        if hits.size == 0:
+            continue
+        M[[rank, hits[0]]] = M[[hits[0], rank]]
+        others = np.flatnonzero(M[:, c])
+        M[others[others != rank]] ^= M[rank]
+        rank += 1
+    if rank < u:
+        return None, u - rank
+    return M[:u, u:], 0
+
+
+def consistent_system(rng, F, u, m, deficient=False):
+    """(m, u) random rows and the right-hand side of a random solution;
+    ``deficient`` repeats a column, so the rank falls short."""
+    rows = rng.integers(0, 2, size=(m, u), dtype=np.uint8)
+    if deficient and u >= 2:
+        rows[:, -1] = rows[:, 0]
+    x = rng.integers(0, 2, size=(u, F), dtype=np.uint8)
+    return rows, (rows.astype(np.int64) @ x % 2).astype(np.uint8)
+
+
+def assert_matches_reference(systems, results):
+    for (rows, rhs), (x, deficit) in zip(systems, results):
+        want_x, want_deficit = reference_solve(rows, rhs)
+        assert deficit == want_deficit
+        if want_x is None:
+            assert x is None
+        else:
+            assert x.shape == want_x.shape and np.array_equal(x, want_x)
+
+
+@pytest.mark.parametrize("F", [1, 8, 16, 17])
+def test_batched_kernel_matches_reference(F):
+    rng = np.random.default_rng(F)
+    for _ in range(6):
+        systems = [
+            consistent_system(
+                rng, F, u, int(rng.integers(max(u - 3, 0), u + 40)), deficient=rng.random() < 0.3
+            )
+            for u in rng.integers(1, 150, size=int(rng.integers(3, 9)))
+        ]
+        systems += [consistent_system(rng, F, 0, 5), consistent_system(rng, F, 30, 12)]
+        results = codec.solve_gf2_batch(systems)
+        assert any(x is None for x, _ in results) and any(x is not None for x, _ in results)
+        assert_matches_reference(systems, results)
+
+
+def test_batched_kernel_at_a_word_boundary():
+    # F=1 and u+1 = 64 columns: the system is exactly one word wide
+    rng = np.random.default_rng(3)
+    systems = [consistent_system(rng, 1, 63, 74), consistent_system(rng, 1, 127, 140)]
+    systems.append(consistent_system(rng, 1, 10, 20))
+    assert_matches_reference(systems, codec.solve_gf2_batch(systems))
+    b = blocks_of(63, F=1, seed=4)
+    res = codec.decode_batch(
+        [(codec.encode_payloads(b, 74, 1, 5), 63, 1, 5,
+          [codec.Reception(np.arange(74), np.zeros(63, bool), np.zeros((63, 1), np.uint8))])]
+    )
+    assert res[0][0].ok and np.array_equal(res[0][0].blocks, b)
+
+
+def test_batched_kernel_in_small_chunks(monkeypatch):
+    rng = np.random.default_rng(8)
+    systems = [consistent_system(rng, 16, u, u + 10) for u in (5, 70, 140, 70, 0)]
+    whole = codec.solve_gf2_batch(systems)
+    monkeypatch.setattr(codec, "_KERNEL_WORDS", 1)  # one system per pass
+    for (x, d), (y, e) in zip(whole, codec.solve_gf2_batch(systems)):
+        assert d == e and np.array_equal(x, y)
+    assert_matches_reference(systems, whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=st.lists(
+        st.tuples(st.sampled_from([1, 8, 16, 17]), st.integers(0, 80), st.integers(0, 100)),
+        min_size=1,
+        max_size=8,
+    ),
+    groups=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+)
+def test_batch_equals_per_system_solves_for_any_grouping(seed, shapes, groups):
+    """Every system's pivots depend on that system alone, so any grouping
+    gives each system what it gets on its own, inconsistent systems too."""
+    rng = np.random.default_rng(seed)
+    bits = lambda shape: rng.integers(0, 2, size=shape, dtype=np.uint8)  # noqa: E731
+    systems = [(bits((m, u)), bits((m, F))) for F, u, m in shapes]
+    alone = [codec.solve_gf2(rows, rhs) for rows, rhs in systems]
+    for g in set(groups[: len(systems)]):
+        members = [i for i, h in enumerate(groups[: len(systems)]) if h == g]
+        batched = codec.solve_gf2_batch([systems[i] for i in members])
+        for i, (x, deficit) in zip(members, batched):
+            y, e = alone[i]
+            assert deficit == e
+            assert (x is None and y is None) or np.array_equal(x, y)
+
+
+def test_decode_batch_equals_single_decodes():
+    """One batched call over several phases gives every reception what
+    decode_arrays gives it alone: no unknowns, too few packets, rank
+    deficits, the all-packets fallback and full decodes."""
+    rng = np.random.default_rng(5)
+    phases, truth = [], []
+    for phase_id in range(4):
+        B = int(rng.integers(1, 40))
+        b = blocks_of(B, F=8, seed=phase_id)
+        count = B + 80
+        payloads = codec.encode_payloads(b, count, phase_id, [9, phase_id])
+        receptions = []
+        # all packets, none; then u - 1 and u + 1 packets, of which rank-deficient sometimes
+        for share, extra in ((0.0, count), (1.0, 0), (0.3, -1), (0.5, 1)):
+            known = rng.random(B) < share
+            size = min(count, B - int(known.sum()) + extra)
+            got = np.sort(rng.choice(count, size=max(size, 0), replace=False))
+            receptions.append(codec.Reception(got, known, np.where(known[:, None], b, 0)))
+        phases.append((payloads, B, phase_id, [9, phase_id], receptions))
+        truth.append(b)
+    # the first u+64 packets repeat one coefficient row; a later one completes the rank
+    b = blocks_of(2, F=2)
+    A = codec.coefficient_rows(11, 0, 400, 2)
+    first = int(np.flatnonzero(A.any(axis=1))[0])
+    dup = [j for j in range(400) if (A[j] == A[first]).all()]
+    rest = [j for j in range(400) if A[j].any() and (A[j] != A[first]).any()]
+    assert len(dup) >= 70
+    got = np.array(dup[:70] + rest[:1])
+    none = np.zeros(2, bool)
+    phases.append((codec.encode_payloads(b, 400, 0, 11), 2, 0, 11,
+                   [codec.Reception(got, none, np.zeros((2, 2), np.uint8))]))
+    truth.append(b)
+    outcomes = set()
+    for (payloads, B, phase_id, seed, receptions), results, b in zip(
+        phases, codec.decode_batch(phases), truth
+    ):
+        for rec, res in zip(receptions, results):
+            known = {int(i): rec.values[i] for i in np.flatnonzero(rec.known)}
+            one = codec.decode_arrays(rec.indices, payloads[rec.indices], B, phase_id, seed, known)
+            assert (res.ok, res.rank_deficit) == (one.ok, one.rank_deficit)
+            if res.ok:
+                assert np.array_equal(res.blocks, b) and np.array_equal(one.blocks, b)
+            u = B - int(rec.known.sum())
+            outcomes.add("no unknowns" if u == 0 else "too few" if len(rec.indices) < u
+                         else "decoded" if res.ok else "deficient")
+    assert outcomes == {"no unknowns", "too few", "decoded", "deficient"}
+    assert results[0].ok  # the fallback found the late packet

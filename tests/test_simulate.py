@@ -233,6 +233,14 @@ def test_audit_reports_divergence_and_verifies():
     assert out["divergence"] > 0.1  # published bound exceeds the oracle here
 
 
+def test_demand_cap_below_one_rejected():
+    # a cap below one used to run no demand and report pe_hat 0.0
+    cfg = cfg_joint(n=200)
+    for bad in (0, -3, 1.5):
+        with pytest.raises(ConfigError, match="demand_cap"):
+            estimate_pe(cfg, "joint-2rx", trials=1, demand_cap=bad)
+
+
 def test_bad_worker_counts_rejected(monkeypatch):
     def no_pool(*a, **k):
         raise AssertionError("a worker pool was created")
@@ -265,13 +273,19 @@ def test_partly_known_ranges_pin_decoder_calls(monkeypatch):
         piggyback=((0.05, 0.02), (0.03, 0.06), (0.02, 0.01)),
     )
     calls = []
-    decode = codec.decode_arrays
+    decode = codec.decode_batch
 
-    def recording(indices, payloads, B, phase_id, seed, known=None):
-        calls.append([phase_id, sorted(known or {}), len(indices)])
-        return decode(indices, payloads, B, phase_id, seed, known)
+    def recording(phases):
+        # phase p of a run is decoded at receivers p..K, in that order
+        for _, _, phase_id, _, receptions in phases:
+            for k, rec in enumerate(receptions, start=phase_id):
+                known = np.flatnonzero(rec.known).tolist()
+                calls.append((k, [phase_id, known, len(rec.indices)]))
+        return decode(phases)
 
-    monkeypatch.setattr(codec, "decode_arrays", recording)
+    monkeypatch.setattr(codec, "decode_batch", recording)
     assert all(run_trial(cfg, "general", params, (1, 1, 1, 1, 1), [1, 0, 0]))
+    # run-major order: receiver by receiver, each through its phases
+    calls = [call for _, call in sorted(calls, key=lambda c: (c[0], c[1][0]))]
     digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
     assert digest == "68350fef27f212f299fb194c112b58269a4d57f632b79f04263bec4d3cc53d9f"
