@@ -6,8 +6,6 @@ with its knowledge sets, and runs the deterministic capacity verification.
 None of it depends on the library bits, so no library is drawn.
 """
 
-import numpy as np
-
 from cachebc import (
     SystemConfig,
     build_caches,
@@ -44,10 +42,10 @@ layout = sub_message_layout(cfg, K0=2, t=1, M=0.3)
 print(f"\nEach message splits into fragments of {layout.piece_bits} bits")
 print(f"(fragment i cached at receivers {layout.subsets[:-1]}, last uncached).")
 
-# the placement depends only on the layout, so a blank library shows it
-caches = build_caches(cfg, [np.zeros(layout.message_bits, np.uint8)] * cfg.D, layout)
+# a cache is the mask of library bits a receiver holds (last column: padding)
+caches = build_caches(cfg, layout)
 for k in (1, 2, 3):
-    print(f"  receiver {k} cache: {caches.bits_at(k)} bits")
+    print(f"  receiver {k} cache: {caches[k - 1, :-1].sum()} bits")
 
 demand = (1, 2, 3)
 params = SchemeParameters(K0=2, t=1, beta=lp.beta, piggyback=lp.piggyback)

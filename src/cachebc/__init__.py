@@ -32,7 +32,6 @@ from .regions import (
     unequal_cache_max_rate,
 )
 from .placement import (
-    CacheContents,
     CapacityError,
     SubMessageLayout,
     build_caches,

@@ -15,8 +15,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .model import ConfigError, SchemeParameters, load_config
 from .placement import sub_message_layout, build_caches
 from .regions import (
@@ -183,9 +181,8 @@ def cmd_schedule_show(args) -> tuple[int, str]:
     demand = tuple(_ints(args.demand))
     plan = plan_scheme(cfg, args.scheme, backoff=args.backoff)
     cfg_sim = plan.cfg_sim
-    layout = sub_message_layout(cfg_sim, plan.K0, plan.t, plan.layout_memory)
-    blank = [np.zeros(layout.message_bits, np.uint8)] * cfg_sim.D
-    build_caches(cfg_sim, blank, layout)  # raises CapacityError on overflow
+    layout = sub_message_layout(cfg_sim, plan.params.K0, plan.params.t, plan.layout_memory)
+    build_caches(cfg_sim, layout)  # raises CapacityError on overflow
     sched = build_schedule(cfg_sim, plan.params, layout, demand)
     phases = []
     for p, phase in enumerate(sched.phases, start=1):
@@ -229,7 +226,6 @@ def cmd_simulate(args) -> tuple[int, str]:
         trials=args.trials,
         seed=args.seed,
         demand_cap=args.demand_cap,
-        threads=args.threads,
     )
     payload = report.to_dict()
     # wall-clock goes to stderr so stdout stays byte-identical per seed
@@ -294,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--demand-cap", type=int, default=DEFAULT_DEMAND_CAP)
-    sp.add_argument("--threads", type=int, default=None, help="defaults to $CACHEBC_THREADS or 1")
     sp.set_defaults(fn=cmd_simulate)
     return p
 

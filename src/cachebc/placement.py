@@ -6,8 +6,13 @@ size-t subset of the cached receivers, in lexicographic subset order) plus
 one uncached remainder.  Fragment bit lengths are floors of n * rate; the
 remainder absorbs the rounding slack so the fragments partition the message
 exactly.  For transmission each fragment is padded with zeros up to a
-multiple of F so payload items align to codec blocks; caches store the
-unpadded bits (padding is known to everyone for free).
+multiple of F so payload items align to codec blocks.
+
+A cache is side information: the simulator needs only which library bits a
+receiver holds, never a copy of them.  So a placement is a (K, library bits
++ 1) boolean mask over the library laid out message after message
+(``schedule.flat_library``); row k-1 belongs to receiver k, and the last
+column is the padding bit, which everyone knows for free.
 
 The caching phase is error-free by assumption, so placement is exact.
 """
@@ -29,7 +34,7 @@ __all__ = [
     "enumerate_cache_subsets",
     "SubMessageLayout",
     "sub_message_layout",
-    "CacheContents",
+    "message_lengths",
     "build_caches",
     "build_prefix_caches",
     "validate_cache_allocation",
@@ -120,7 +125,7 @@ def sub_message_layout(cfg: SystemConfig, K0: int, t: int, M: float) -> SubMessa
         raise OutOfRegimeError(
             f"uncached rate would be negative: R={R}, M*K0/(D*t)={M * K0 / (cfg.D * t)}"
         )
-    message_bits = math.floor(n * R)
+    message_bits = message_lengths(cfg)[0]
     frag = math.floor(n * r_c)
     if frag * tau > message_bits:  # guards pathological float rounding
         frag = message_bits // max(tau, 1)
@@ -140,61 +145,42 @@ def sub_message_layout(cfg: SystemConfig, K0: int, t: int, M: float) -> SubMessa
     )
 
 
-@dataclass
-class CacheContents:
-    """Per-receiver cached bits.
-
-    ``subset`` mode keys entries by (message, fragment); ``prefix`` mode keys
-    by message and stores the first floor(n * M_{k,d}) bits.
-    """
-
-    mode: str
-    K: int
-    entries: tuple[dict, ...]
-
-    def bits_at(self, k: int) -> int:
-        return int(sum(v.size for v in self.entries[k - 1].values()))
-
-    def has_piece(self, k: int, d: int, i: int) -> bool:
-        return (d, i) in self.entries[k - 1]
-
-    def piece(self, k: int, d: int, i: int) -> np.ndarray:
-        return self.entries[k - 1][(d, i)]
-
-    def prefix(self, k: int, d: int) -> np.ndarray:
-        return self.entries[k - 1].get(d, np.zeros(0, dtype=np.uint8))
-
-
-def _check_library(cfg: SystemConfig, library, expected_bits) -> None:
-    if len(library) != cfg.D:
-        raise ConfigError(f"library must hold D={cfg.D} messages")
-    for d, w in enumerate(library, start=1):
-        if len(w) != expected_bits[d - 1]:
-            raise ConfigError(
-                f"message {d} has {len(w)} bits, expected {expected_bits[d - 1]}"
-            )
-
-
-def build_caches(cfg: SystemConfig, library, layout: SubMessageLayout) -> CacheContents:
-    """Fill receiver caches under the subset rule: receiver k stores fragment
-    (d, i) for every message d exactly when k is in the fragment's subset."""
+def message_lengths(cfg: SystemConfig) -> list[int]:
+    """Message d has floor(n * R_d) bits."""
     n = cfg.require_n()
-    _check_library(cfg, library, [layout.message_bits] * cfg.D)
-    entries = tuple({} for _ in range(cfg.K))
-    for i in range(layout.tau):
-        off = layout.piece_offset(i)
-        ln = layout.piece_bits[i]
-        for k in layout.subsets[i]:
-            for d in range(1, cfg.D + 1):
-                entries[k - 1][(d, i)] = np.asarray(library[d - 1][off : off + ln])
+    return [math.floor(n * r) for r in cfg.rates]
+
+
+def _cache_masks(cfg: SystemConfig, library_bits: int) -> np.ndarray:
+    """Empty caches over a library of ``library_bits`` bits; the last column
+    is the padding bit (``schedule.PAD``), known everywhere."""
+    masks = np.zeros((cfg.K, library_bits + 1), dtype=bool)
+    masks[:, -1] = True
+    return masks
+
+
+def _check_budgets(cfg: SystemConfig, masks: np.ndarray) -> np.ndarray:
+    n = cfg.require_n()
     for k in range(1, cfg.K + 1):
-        total = int(sum(v.size for v in entries[k - 1].values()))
+        total = int(masks[k - 1, :-1].sum())
         budget = math.floor(n * cfg.memory(k))
         if total > budget:
             raise CapacityError(
                 f"receiver {k} cache needs {total} bits but budget is {budget}"
             )
-    return CacheContents(mode="subset", K=cfg.K, entries=entries)
+    return masks
+
+
+def build_caches(cfg: SystemConfig, layout: SubMessageLayout) -> np.ndarray:
+    """Subset placement: receiver k caches fragment (d, i) of every message d
+    exactly when k is in the fragment's subset.  Returns the cache masks."""
+    masks = _cache_masks(cfg, layout.position(cfg.D + 1, 0))
+    for i, subset in enumerate(layout.subsets):
+        for k in subset:
+            for d in range(1, cfg.D + 1):
+                start = layout.position(d, i)
+                masks[k - 1, start : start + layout.piece_bits[i]] = True
+    return _check_budgets(cfg, masks)
 
 
 def validate_cache_allocation(cfg: SystemConfig, allocation, tol: float = 1e-9) -> np.ndarray:
@@ -212,31 +198,24 @@ def validate_cache_allocation(cfg: SystemConfig, allocation, tol: float = 1e-9) 
     return alloc
 
 
-def build_prefix_caches(cfg: SystemConfig, library, allocation) -> CacheContents:
-    """Prefix placement for the common-demand scheme: receiver k stores the
-    first floor(n * M_{k,d}) bits of each message."""
+def build_prefix_caches(cfg: SystemConfig, allocation) -> np.ndarray:
+    """Prefix placement for the common-demand scheme: receiver k caches the
+    first floor(n * M_{k,d}) bits of each message.  Returns the cache masks."""
     n = cfg.require_n()
     alloc = validate_cache_allocation(cfg, allocation)
-    entries = tuple({} for _ in range(cfg.K))
+    sizes = message_lengths(cfg)
+    masks = _cache_masks(cfg, sum(sizes))
     for k in range(1, cfg.K + 1):
-        total = 0
+        start = 0
         for d in range(1, cfg.D + 1):
-            bits = min(math.floor(n * alloc[k - 1, d - 1]), len(library[d - 1]))
-            if bits > 0:
-                entries[k - 1][d] = np.asarray(library[d - 1][:bits])
-                total += bits
-        budget = math.floor(n * cfg.memory(k))
-        if total > budget:
-            raise CapacityError(
-                f"receiver {k} cache needs {total} bits but budget is {budget}"
-            )
-    return CacheContents(mode="prefix", K=cfg.K, entries=entries)
+            # an entry just below zero floors to -1 bit and marks nothing
+            bits = max(min(math.floor(n * alloc[k - 1, d - 1]), sizes[d - 1]), 0)
+            masks[k - 1, start : start + bits] = True
+            start += sizes[d - 1]
+    return _check_budgets(cfg, masks)
 
 
-def draw_library(cfg: SystemConfig, seed, message_bits=None) -> list[np.ndarray]:
+def draw_library(cfg: SystemConfig, seed) -> list[np.ndarray]:
     """Uniform library draw: message d gets floor(n * R_d) fair bits."""
-    n = cfg.require_n()
-    if message_bits is None:
-        message_bits = [math.floor(n * r) for r in cfg.rates]
     rng = derived_rng(seed, LIBRARY_STREAM)
-    return [rng.integers(0, 2, size=b, dtype=np.uint8) for b in message_bits]
+    return [rng.integers(0, 2, size=b, dtype=np.uint8) for b in message_lengths(cfg)]

@@ -54,6 +54,13 @@ class DegenerateChannelError(ValueError):
     """A receiver with erasure probability 1 was asked to decode positive rate."""
 
 
+def _check_tol(tol: float) -> None:
+    """A membership slack must be finite and >= 0: an infinite one admits
+    every point, a NaN or negative one none."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
+
+
 # ---------------------------------------------------------------------------
 # Degraded message sets
 # ---------------------------------------------------------------------------
@@ -73,6 +80,7 @@ def degraded_region_contains(
     probability 1 cannot carry positive rate: that yields False, or a
     DegenerateChannelError when ``raise_on_degenerate`` is set.
     """
+    _check_tol(tol)
     r = [float(x) for x in rates_by_level]
     if len(r) != cfg.K:
         raise ConfigError(f"rates_by_level must have K={cfg.K} entries")
@@ -660,6 +668,7 @@ def common_demand_contains(
     Returns (inside, witness) where witness is the greedy K x D allocation
     when inside, else None.
     """
+    _check_tol(tol)
     R = np.asarray(cfg.rates if rates is None else rates, dtype=float)
     Mk = np.asarray(cfg.memories if memories is None else memories, dtype=float)
     if R.shape != (cfg.D,) or Mk.shape != (cfg.K,):
@@ -705,6 +714,7 @@ def common_demand_separate_contains(
     Every receiver then decodes behind the worst channel, so each must cache
     the shortfall against min_k (1-delta_k) F.
     """
+    _check_tol(tol)
     R = np.asarray(cfg.rates if rates is None else rates, dtype=float)
     Mk = np.asarray(cfg.memories if memories is None else memories, dtype=float)
     if R.shape != (cfg.D,) or Mk.shape != (cfg.K,):

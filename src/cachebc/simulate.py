@@ -14,16 +14,14 @@ call before the next phase.
 The error probability is estimated over the union of all feasible demands:
 trial j fails when any receiver fails for any demand, with run (demand
 index, j) seeded by (base seed, demand index, j) so results are
-bit-identical regardless of execution order, blocking or thread count.
+bit-identical regardless of execution order or blocking.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -36,6 +34,7 @@ from .placement import (
     build_caches,
     build_prefix_caches,
     draw_library,
+    message_lengths,
     sub_message_layout,
 )
 from .regions import (
@@ -109,8 +108,6 @@ class SchemePlan:
     rates_nominal: tuple[float, ...]
     params: SchemeParameters | None = None  # XOR schemes
     layout_memory: float | None = None  # effective equal-cache parameter
-    K0: int | None = None
-    t: int | None = None
     min_slack_bits: float | None = None
     allocation: tuple[tuple[float, ...], ...] | None = None  # common demand
 
@@ -219,8 +216,6 @@ def plan_scheme(
         rates_nominal=(nominal,) * cfg.D,
         params=sched_params,
         layout_memory=m_eff,
-        K0=K0,
-        t=t,
         min_slack_bits=(fit.slack * n if n is not None else None),
     )
 
@@ -324,30 +319,15 @@ def _reception(phase: PhaseIndex, B: int, F: int, values, known, erased) -> code
     return codec.Reception(np.flatnonzero(~erased), known_blocks, vals_blocks)
 
 
-def _cached_masks(size: int, caches, start) -> np.ndarray:
-    """Row k-1: receiver k's cached-bit mask over a flat library of ``size``
-    bits; cache entry ``key`` sits at ``start(key)``, padding is known."""
-    masks = np.zeros((caches.K, size + 1), dtype=bool)
-    masks[:, PAD] = True
-    for mask, entries in zip(masks, caches.entries):
-        for key, bits in entries.items():
-            mask[start(key) : start(key) + bits.size] = True
-    return masks
-
-
 def _subset_delivery(plan: SchemePlan) -> _Delivery:
     """The XOR schemes: subset caches, and K phases of XOR groups, plain
     parts and piggyback slices per demand (``index_schedule``)."""
     cfg = plan.cfg_sim
-    layout = sub_message_layout(cfg, plan.K0, plan.t, plan.layout_memory)
+    layout = sub_message_layout(cfg, plan.params.K0, plan.params.t, plan.layout_memory)
     grants, _ = piggyback_grants(cfg, plan.params, layout)
     offsets = tuple(layout.position(d, 0) for d in range(1, cfg.D + 2))
-    # the placement depends only on the layout: a blank library shows where
-    # each receiver's cached bits sit and runs the budget check
-    caches = build_caches(cfg, [np.zeros(layout.message_bits, np.uint8)] * cfg.D, layout)
-    cached = _cached_masks(offsets[-1], caches, lambda key: layout.position(*key))
     compile = partial(index_schedule, cfg, plan.params, layout, grants)
-    return _Delivery(cfg, cached, offsets, compile)
+    return _Delivery(cfg, build_caches(cfg, layout), offsets, compile)
 
 
 def _prefix_delivery(plan: SchemePlan) -> _Delivery:
@@ -355,11 +335,8 @@ def _prefix_delivery(plan: SchemePlan) -> _Delivery:
     of n uses over the demanded message."""
     cfg = plan.cfg_sim
     F, n = cfg.F, cfg.require_n()
-    sizes = [math.floor(n * r) for r in cfg.rates]  # draw_library's message lengths
+    sizes = message_lengths(cfg)
     offsets = tuple(int(x) for x in np.cumsum([0] + sizes))
-    # a blank library places the prefixes and runs the allocation and budget checks
-    caches = build_prefix_caches(cfg, [np.zeros(b, np.uint8) for b in sizes], plan.allocation)
-    cached = _cached_masks(offsets[-1], caches, lambda d: offsets[d - 1])
 
     def compile(demand):
         if len(set(demand)) != 1:
@@ -376,7 +353,7 @@ def _prefix_delivery(plan: SchemePlan) -> _Delivery:
         item = ItemIndex("uncached-part", ((d, 0, 0, bits),), frozenset(), None, 0, len(gather))
         return (PhaseIndex(1, n, (item,), gather, spans),)
 
-    return _Delivery(cfg, cached, offsets, compile)
+    return _Delivery(cfg, build_prefix_caches(cfg, plan.allocation), offsets, compile)
 
 
 def _absorb(phase: PhaseIndex, decoded: np.ndarray, values: np.ndarray, known: np.ndarray):
@@ -409,8 +386,6 @@ def _plan_from_parameters(cfg: SystemConfig, scheme: str, params: SchemeParamete
         rates_nominal=cfg.rates,
         params=params,
         layout_memory=layout_M,
-        K0=params.K0,
-        t=params.t,
     )
 
 
@@ -511,22 +486,6 @@ class SimulationReport:
         }
 
 
-def _worker_count(threads: int | None) -> int:
-    """``threads`` if given, else $CACHEBC_THREADS, else 1; anything but a
-    positive integer is rejected."""
-    if threads is not None:
-        if isinstance(threads, int) and threads >= 1:
-            return threads
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
-    raw = os.environ.get("CACHEBC_THREADS", "1")
-    try:
-        if int(raw) >= 1:
-            return int(raw)
-    except ValueError:
-        pass
-    raise ConfigError(f"CACHEBC_THREADS must be a positive integer, got {raw!r}")
-
-
 def estimate_pe(
     cfg: SystemConfig,
     scheme: str,
@@ -535,7 +494,7 @@ def estimate_pe(
     trials: int = 100,
     seed: int = 0,
     demand_cap: int = DEFAULT_DEMAND_CAP,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> SimulationReport:
     """Estimate the union error probability over the feasible demand set.
 
@@ -543,13 +502,14 @@ def estimate_pe(
     ``demand_cap``; otherwise ``demand_cap`` tuples are sampled uniformly
     (with replacement) once per experiment.  Run (demand index di, trial j)
     is seeded by (seed, di, j); trial j fails when any receiver fails for
-    any demand in that trial.
+    any demand in that trial.  Runs go single-threaded; ``threads`` accepts
+    only 1.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if not isinstance(demand_cap, int) or demand_cap < 1:
-        raise ConfigError(f"demand_cap must be a positive integer, got {demand_cap!r}")
-    workers = _worker_count(threads)
+    for name, value in (("trials", trials), ("demand_cap", demand_cap)):
+        if not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    if threads != 1:
+        raise ConfigError(f"threads must be 1 (runs are single-threaded), got {threads!r}")
     t0 = time.perf_counter()
     plan = params if isinstance(params, SchemePlan) else plan_scheme(cfg, scheme, backoff, params)
     size = cfg.demand_set.size(cfg.K, cfg.D)
@@ -566,25 +526,16 @@ def estimate_pe(
 
     delivery, compiled = _experiment(cfg, plan, demands)
     jobs = [(di, j) for j in range(trials) for di in range(len(demands))]
-    blocks = [jobs[i : i + _BLOCK_RUNS] for i in range(0, len(jobs), _BLOCK_RUNS)]
-
-    def one(block):
-        runs = [(compiled[demands[di]], demands[di], [seed, di, j]) for di, j in block]
-        return zip(block, delivery.run(runs))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = [r for block in ex.map(one, blocks) for r in block]
-    else:
-        results = [r for block in blocks for r in one(block)]
-
     fail_counts = [[0] * cfg.K for _ in demands]
     union_fail = [False] * trials
-    for (di, j), flags in results:
-        for k, ok in enumerate(flags):
-            if not ok:
-                fail_counts[di][k] += 1
-                union_fail[j] = True
+    for i in range(0, len(jobs), _BLOCK_RUNS):
+        block = jobs[i : i + _BLOCK_RUNS]
+        runs = [(compiled[demands[di]], demands[di], [seed, di, j]) for di, j in block]
+        for (di, j), flags in zip(block, delivery.run(runs)):
+            for k, ok in enumerate(flags):
+                if not ok:
+                    fail_counts[di][k] += 1
+                    union_fail[j] = True
     union_failures = sum(union_fail)
     pe_hat = union_failures / trials
     lo, hi = wilson_interval(union_failures, trials)
@@ -734,8 +685,7 @@ def audit_conditions(cfg: SystemConfig, K0: int, M: float, t: int, demand=None) 
         cfg_lp = replace(cfg, rates=(lp.rate,) * cfg.D, memories=mems)
         m_eff = lp.cached_rate_per_fragment * cfg.D * math.comb(K0 - 1, t - 1)
         layout = sub_message_layout(cfg_lp, K0, t, m_eff)
-        blank = [np.zeros(layout.message_bits, np.uint8)] * cfg.D
-        build_caches(cfg_lp, blank, layout)  # raises CapacityError on overflow
+        build_caches(cfg_lp, layout)  # raises CapacityError on overflow
         params = SchemeParameters(K0=K0, t=t, beta=lp.beta, piggyback=lp.piggyback)
         sched = build_schedule(cfg_lp, params, layout, demand)
         out["verify_ok"] = verify_schedule(sched, cfg_lp, margin=1.0).ok

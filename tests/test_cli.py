@@ -229,6 +229,20 @@ def test_region_sweep_rejects_non_finite_grid(capsys, sweep_cfg, grid):
     assert "error: grid must" in err
 
 
+@pytest.mark.parametrize("scheme", ["common", "common-separate", "degraded"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_region_check_rejects_bad_tol(capsys, tmp_path, scheme, tol):
+    # an infinite tol used to put (3, 3) inside every region, NaN or -1 outside
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        {"K": 2, "D": 2, "F": 1, "deltas": [0.5, 0.2], "rates": [1.0, 1.0], "memories": [0.1, 0.1]}
+    ))
+    argv = ["region-check", "--config", str(path), "--scheme", scheme, "--rates", "3,3"]
+    code, out, err = run(capsys, argv + [f"--tol={tol}"])
+    assert code == 2 and out == ""
+    assert "error: tol must" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_simulate_rejects_demand_cap_below_one(capsys, sim_cfg, cap):
     argv = ["simulate", "--config", sim_cfg, "--scheme", "joint-2rx", "--trials", "1"]
@@ -255,3 +269,4 @@ def test_simulate_rejects_removed_flags(sim_cfg):
     base = ["simulate", "--config", sim_cfg, "--scheme", "joint-2rx", "--trials", "1"]
     assert main(base + ["--margin", "2"]) == 2
     assert main(base + ["--slack", "8"]) == 2
+    assert main(base + ["--threads", "2"]) == 2

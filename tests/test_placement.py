@@ -15,6 +15,7 @@ from cachebc import (
     enumerate_cache_subsets,
     sub_message_layout,
 )
+from cachebc.schedule import flat_library
 
 
 def brute_subsets(K0, t):
@@ -93,29 +94,61 @@ def test_layout_partition_and_padding():
     assert layout.rounding_slack_bits == sum(layout.padded_piece_bits) - layout.message_bits
 
 
+def piece_mask(caches, layout, k, d, i):
+    """Receiver k's cache mask over fragment i of message d."""
+    start = layout.position(d, i)
+    return caches[k - 1, start : start + layout.piece_bits[i]]
+
+
+def has_piece(caches, layout, k, d, i):
+    return bool(piece_mask(caches, layout, k, d, i).all())
+
+
+def bits_at(caches, k):
+    return int(caches[k - 1, :-1].sum())
+
+
+def cached_bits(caches, lib, k, d):
+    """The bits of message d that receiver k caches, read from the library."""
+    lo = sum(len(m) for m in lib[: d - 1])
+    hi = lo + len(lib[d - 1])
+    return flat_library(lib)[lo:hi][caches[k - 1, lo:hi]]
+
+
+def test_cache_masks_cover_the_flat_library():
+    cfg = make_cfg(mems=(3.0, 3.0, 3.0))
+    layout = sub_message_layout(cfg, 3, 2, 3.0)
+    caches = build_caches(cfg, layout)
+    # one column per library bit, then the always-known padding bit
+    assert caches.shape == (3, cfg.D * layout.message_bits + 1)
+    assert caches.dtype == bool and caches[:, -1].all()
+
+
 def test_build_caches_membership_k0_2():
     cfg = make_cfg(K=2, D=4, mems=(1.0, 1.0), deltas=(0.8, 0.2), R=2.0)
     layout = sub_message_layout(cfg, 2, 1, 1.0)
     lib = draw_library(cfg, 3)
-    caches = build_caches(cfg, lib, layout)
+    caches = build_caches(cfg, layout)
     # receiver 1 holds fragment 0 of every message, receiver 2 fragment 1
     for d in range(1, 5):
-        assert caches.has_piece(1, d, 0) and not caches.has_piece(1, d, 1)
-        assert caches.has_piece(2, d, 1) and not caches.has_piece(2, d, 0)
+        assert has_piece(caches, layout, 1, d, 0)
+        assert not piece_mask(caches, layout, 1, d, 1).any()
+        assert has_piece(caches, layout, 2, d, 1)
+        assert not piece_mask(caches, layout, 2, d, 0).any()
         off = layout.piece_offset(0)
-        assert np.array_equal(caches.piece(1, d, 0), lib[d - 1][off : off + layout.piece_bits[0]])
+        piece = cached_bits(caches, lib, 1, d)
+        assert np.array_equal(piece, lib[d - 1][off : off + layout.piece_bits[0]])
 
 
 def test_build_caches_membership_k0_3():
     cfg = make_cfg(mems=(3.0, 3.0, 3.0))
     layout = sub_message_layout(cfg, 3, 2, 3.0)
-    lib = draw_library(cfg, 4)
-    caches = build_caches(cfg, lib, layout)
+    caches = build_caches(cfg, layout)
     # receiver 1 holds the fragments for subsets {1,2} and {1,3}
-    assert [i for i in range(3) if caches.has_piece(1, 1, i)] == [0, 1]
+    assert [i for i in range(3) if has_piece(caches, layout, 1, 1, i)] == [0, 1]
     # each cached fragment is stored at exactly t receivers
     for i in range(layout.tau):
-        holders = [k for k in range(1, 4) if caches.has_piece(k, 1, i)]
+        holders = [k for k in range(1, 4) if has_piece(caches, layout, k, 1, i)]
         assert len(holders) == layout.t
         assert tuple(holders) == layout.subsets[i]
 
@@ -124,16 +157,16 @@ def test_cache_budget_exact_before_rounding():
     # divisible n: stored bits equal exactly n * M at every cached receiver
     cfg = make_cfg(mems=(3.0, 3.0, 3.0), n=1200)
     layout = sub_message_layout(cfg, 3, 2, 3.0)
-    caches = build_caches(cfg, draw_library(cfg, 0), layout)
+    caches = build_caches(cfg, layout)
     for k in (1, 2, 3):
-        assert caches.bits_at(k) == 1200 * 3
+        assert bits_at(caches, k) == 1200 * 3
 
 
 def test_cache_capacity_error():
     cfg = make_cfg(mems=(2.9, 3.0, 3.0))
     layout = sub_message_layout(cfg, 3, 2, 3.0)
     with pytest.raises(CapacityError, match="receiver 1"):
-        build_caches(cfg, draw_library(cfg, 0), layout)
+        build_caches(cfg, layout)
 
 
 def test_prefix_caches():
@@ -141,26 +174,38 @@ def test_prefix_caches():
         K=2, D=2, F=1, deltas=[0.8, 0.2], rates=[1.0, 0.5], memories=[1.1, 0.2], n=1000
     )
     lib = draw_library(cfg, 9)
-    zero = build_prefix_caches(cfg, lib, np.zeros((2, 2)))
-    assert zero.bits_at(1) == 0 and zero.bits_at(2) == 0
+    zero = build_prefix_caches(cfg, np.zeros((2, 2)))
+    assert bits_at(zero, 1) == 0 and bits_at(zero, 2) == 0
     _, witness = common_demand_contains(cfg)
-    caches = build_prefix_caches(cfg, lib, witness)
+    caches = build_prefix_caches(cfg, witness)
     # cache sizes are exactly the floored greedy shortfall allocation
     for k in (1, 2):
         expect = sum(math.floor(1000 * witness[k - 1, d]) for d in range(2))
-        assert caches.bits_at(k) == expect
-    assert np.array_equal(caches.prefix(1, 1), lib[0][: math.floor(1000 * witness[0, 0])])
+        assert bits_at(caches, k) == expect
+    prefix = lib[0][: math.floor(1000 * witness[0, 0])]
+    assert np.array_equal(cached_bits(caches, lib, 1, 1), prefix)
     # full caching of a whole message
     cfg1 = SystemConfig(K=2, D=1, F=1, deltas=[0.8, 0.2], rates=[0.5], memories=[0.5, 0.5], n=1000)
     lib1 = draw_library(cfg1, 2)
-    full = build_prefix_caches(cfg1, lib1, np.array([[0.5], [0.5]]))
-    assert np.array_equal(full.prefix(2, 1), lib1[0])
+    full = build_prefix_caches(cfg1, np.array([[0.5], [0.5]]))
+    assert np.array_equal(cached_bits(full, lib1, 2, 1), lib1[0])
+
+
+def test_prefix_caches_skip_entries_just_below_zero():
+    # validation admits entries down to -1e-12; one floors to -1 bit and must
+    # mark nothing, not the whole library
+    cfg = SystemConfig(
+        K=2, D=2, F=1, deltas=[0.8, 0.2], rates=[1.0, 0.5], memories=[1.1, 0.2], n=1000
+    )
+    caches = build_prefix_caches(cfg, np.array([[-1e-12, 0.3], [-1e-12, -1e-12]]))
+    assert bits_at(caches, 1) == 300 and bits_at(caches, 2) == 0
+    assert caches[0, 1000:1300].all()
 
 
 def test_prefix_cache_capacity_error():
     cfg = SystemConfig(K=1, D=1, F=1, deltas=[0.5], rates=[1.0], memories=[0.1], n=100)
     with pytest.raises(ConfigError):
-        build_prefix_caches(cfg, draw_library(cfg, 0), np.array([[0.2]]))
+        build_prefix_caches(cfg, np.array([[0.2]]))
 
 
 def test_library_draw_deterministic():

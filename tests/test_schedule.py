@@ -39,7 +39,7 @@ def build_all(cfg, K0, t, M, demand, rate=None, seed=0, force_zero_piggyback=Fal
     cfg = cfg if rate == cfg.rates[0] else replace(cfg, rates=(rate,) * cfg.D)
     layout = sub_message_layout(cfg, K0, t, m_eff)
     lib = draw_library(cfg, seed)
-    caches = build_caches(cfg, lib, layout)
+    caches = build_caches(cfg, layout)
     params = SchemeParameters(K0=K0, t=t, beta=fit.beta, piggyback=fit.piggyback)
     sched = build_schedule(cfg, params, layout, demand)
     return cfg, layout, lib, caches, sched, fit
@@ -48,12 +48,18 @@ def build_all(cfg, K0, t, M, demand, rate=None, seed=0, force_zero_piggyback=Fal
 # -- independent coverage oracle ---------------------------------------------
 
 
+def has_piece(caches, layout, k, d, i):
+    """Receiver k's cache mask covers fragment i of message d."""
+    start = layout.position(d, i)
+    return bool(caches[k - 1, start : start + layout.piece_bits[i]].all())
+
+
 def coverage_ok(cfg, layout, lib, caches, sched, receiver):
     demand = sched.demand
     know = {}  # (d, i) -> bit mask
 
     def known_full(d, i):
-        if caches.has_piece(receiver, d, i):
+        if has_piece(caches, layout, receiver, d, i):
             return True
         m = know.get((d, i))
         return m is not None and m.all()
@@ -149,16 +155,18 @@ def test_xor_group_member_recovers_constituent():
     cfg = fresh(3, 3, 1, [0.8, 0.5, 0.2], 2.0, [1.5, 1.5, 1.5], 600)
     layout = sub_message_layout(cfg, 3, 2, 1.5)
     lib = draw_library(cfg, 3)
-    caches = build_caches(cfg, lib, layout)
+    caches = build_caches(cfg, layout)
     demand = (2, 3, 1)
     item, bits = find_xor_group(lib, cfg, layout, demand, {1, 2, 3})
     for k in (1, 2, 3):
         acc = bits.copy()
         mine = None
         for (d, i, a, b) in item.constituents:
-            if caches.has_piece(k, d, i):
+            if has_piece(caches, layout, k, d, i):
                 padded = np.zeros(len(acc), np.uint8)
-                piece = caches.piece(k, d, i)
+                start = layout.position(d, i)
+                span = slice(start, start + layout.piece_bits[i])
+                piece = flat_library(lib)[span][caches[k - 1, span]]
                 padded[: piece.size] = piece
                 acc ^= padded
             else:
