@@ -7,6 +7,10 @@ uniform draw per use: receiver k is erased exactly when U_i < delta_k.  With
 nonincreasing deltas this makes every stronger receiver's erasure set a
 subset of every weaker one's (physically degraded), for every realization,
 while keeping all marginals exact.
+
+Whether a receiver sees a use does not depend on what the use carries, so
+``erasures`` draws a realization's erasures before, and without, its
+packets; ``transmit`` pairs them with the packets sent.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 from ._seeding import CHANNEL_STREAM, derived_rng
 from .model import ConfigError
 
-__all__ = ["ChannelRealization", "transmit"]
+__all__ = ["ChannelRealization", "erasures", "transmit"]
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,20 @@ class ChannelRealization:
         return "\n".join(lines) + "\n"
 
 
+def erasures(count: int, deltas, seed) -> np.ndarray:
+    """The (K, count) erased flags of ``count`` channel uses: receiver k
+    misses use j exactly when U_j < delta_k, with U from one uniform draw
+    on the channel stream of ``seed``."""
+    deltas = [float(d) for d in deltas]
+    for a, b in zip(deltas, deltas[1:]):
+        if b > a:
+            raise ConfigError(f"deltas not nonincreasing: {deltas}")
+    if any(not 0.0 <= d <= 1.0 for d in deltas):
+        raise ConfigError("deltas must lie in [0, 1]")
+    u = derived_rng(seed, CHANNEL_STREAM).random(count)
+    return np.stack([u < d for d in deltas])
+
+
 def transmit(packets, deltas, seed) -> ChannelRealization:
     """Send packets over the channel; deterministic given (packets, deltas,
     seed).  The per-use uniforms come from one counter-based draw, so
@@ -60,13 +78,4 @@ def transmit(packets, deltas, seed) -> ChannelRealization:
     x = np.asarray(packets, dtype=np.uint8)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ConfigError("packets must be a nonempty (n, F) bit array")
-    deltas = [float(d) for d in deltas]
-    for a, b in zip(deltas, deltas[1:]):
-        if b > a:
-            raise ConfigError(f"deltas not nonincreasing: {deltas}")
-    if any(not 0.0 <= d <= 1.0 for d in deltas):
-        raise ConfigError("deltas must lie in [0, 1]")
-    rng = derived_rng(seed, CHANNEL_STREAM)
-    u = rng.random(x.shape[0])
-    erased = np.stack([u < d for d in deltas])
-    return ChannelRealization(inputs=x, erased=erased)
+    return ChannelRealization(inputs=x, erased=erasures(x.shape[0], deltas, seed))

@@ -11,6 +11,13 @@ of many phases in one call and eliminates all their systems together with a
 batched Method of Four Russians; ``decode_arrays`` and ``solve_gf2`` are the
 single-system forms of ``decode_batch`` and ``solve_gf2_batch``.
 
+The erasures do not depend on what a packet carries, so a packet need not
+exist before a decoder reads it: ``decode_batch`` draws a phase's
+coefficient rows once, up to the last packet its first attempts read, and
+encodes exactly the packets they read from those rows (``encoder``).  The
+first attempt reads the earliest u + 16 received packets; only a
+rank-deficient system with more packets is solved again on all of them.
+
 Pure random coefficients need a little rank slack: u unknown blocks decode
 with probability >= 0.99 from u + 32 received packets.  The simulation
 harness budgets that slack inside its rate backoff and reports it
@@ -29,6 +36,7 @@ from ._seeding import CODEC_STREAM, derived_rng
 __all__ = [
     "DecodeResult",
     "coefficient_rows",
+    "encoder",
     "encode_payloads",
     "decode_arrays",
     "decode_batch",
@@ -79,6 +87,19 @@ def _gf2_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _encode_rows(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The encode rule: the payloads of the packets whose coefficient rows
+    are ``rows``, over the (B, F) source blocks."""
+    return _gf2_matmul(rows, blocks)
+
+
+def encoder(blocks):
+    """The payload source (see ``decode_batch``) of a phase whose (B, F)
+    source blocks are ``blocks``: it encodes the packets a decoder reads."""
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    return lambda rows, sel: _encode_rows(blocks, rows)
+
+
 def encode_payloads(blocks, count: int, phase_id: int, seed) -> np.ndarray:
     """The (count, F) payload matrix of ``count`` coded packets over the
     (B, F) source blocks; row j is packet j."""
@@ -86,13 +107,12 @@ def encode_payloads(blocks, count: int, phase_id: int, seed) -> np.ndarray:
     B, F = blocks.shape if blocks.ndim == 2 else (0, 0)
     if B == 0:
         return np.zeros((count, blocks.shape[1] if blocks.ndim == 2 else 0), np.uint8)
-    A = coefficient_rows(seed, phase_id, count, B)
-    return _gf2_matmul(A, blocks)
+    return _encode_rows(blocks, coefficient_rows(seed, phase_id, count, B))
 
 
 # -- batched bit-packed GF(2) elimination ------------------------------------
 
-_FIRST_ATTEMPT_EXTRA = 64  # the first solve uses the earliest u + 64 received packets
+_FIRST_ATTEMPT_EXTRA = 16  # the first solve uses the earliest u + 16 received packets
 _KERNEL_WORDS = 1 << 18  # packed words one elimination pass holds (2 MiB)
 
 
@@ -248,22 +268,26 @@ class Reception(NamedTuple):
     values: np.ndarray  # (B, F) bits; the rows of known blocks hold their values
 
 
-def _systems(group, todo) -> list:
+def _systems(phase, todo) -> list:
     """Packed systems of the receptions ``todo`` = [(number, packet
-    indices to use)] of one phase group; the phase's coefficient rows are
-    drawn once for all of them."""
-    payloads, B, phase_id, seed, receptions = group
+    indices to use)] of one phase.  The phase's coefficient rows are drawn
+    once, up to the last packet read; the packets read are unpacked and
+    their payloads obtained once, for all the receptions together."""
+    payloads, B, phase_id, seed, receptions = phase
     if not todo:
         return []
-    A = _coefficient_bytes(seed, phase_id, max(int(sel.max()) for _, sel in todo) + 1, B)
+    read = np.unique(np.concatenate([sel for _, sel in todo]))
+    packed = _coefficient_bytes(seed, phase_id, int(read[-1]) + 1, B)
+    rows = np.unpackbits(packed[read], axis=1, bitorder="little")[:, :B]
+    sent = payloads(rows, read)
     out = []
     for ri, sel in todo:
         rec = receptions[ri]
-        rows = np.unpackbits(A[sel], axis=1, bitorder="little")[:, :B]
-        rhs = payloads[sel]
+        at = np.searchsorted(read, sel)
+        a, rhs = rows[at], sent[at]
         if rec.known.any():
-            rhs = rhs ^ _gf2_matmul(rows[:, rec.known], rec.values[rec.known])
-        unknown = rows[:, ~rec.known]
+            rhs = rhs ^ _gf2_matmul(a[:, rec.known], rec.values[rec.known])
+        unknown = a[:, ~rec.known]
         out.append((ri, (_pack_system(unknown, rhs), unknown.shape[1], rhs.shape[1])))
     return out
 
@@ -273,17 +297,26 @@ def decode_batch(phases) -> list:
     elimination; returns one list of ``DecodeResult`` per phase.
 
     ``phases`` holds (payloads, B, phase_id, seed, receptions) tuples: the
-    phase's transmitted (count, F) payloads, row j being packet j, its block
-    count, and a sequence of ``Reception``.  Known blocks are eliminated
-    before solving.  With u unknown blocks and m received packets, u = 0
-    succeeds at once and m < u fails without solving; otherwise the earliest
-    u + 64 packets are solved first, and only a rank-deficient system with
-    more packets is solved again on all of them.
+    phase's payload source, its block count, and a sequence of
+    ``Reception``.  ``payloads(rows, sel)`` gives the (len(sel), F)
+    payloads of the packets ``sel`` (sorted, distinct), whose unpacked
+    coefficient rows are ``rows``: ``encoder(blocks)`` encodes them from the
+    phase's source blocks, and ``decode_arrays`` looks them up among the
+    packets received.  A phase's coefficient rows are drawn once for its
+    first attempts and shared by encoder and decoder.
+
+    Known blocks are eliminated before solving.  With u unknown blocks and
+    m received packets, u = 0 succeeds at once and m < u fails without
+    solving; otherwise the earliest u + 16 packets are solved first, and
+    only a rank-deficient system with more packets is solved again on all
+    of them.  The packets are consistent, so any full-rank subset gives the
+    unique solution and a final deficit is that of all m packets: the
+    results do not depend on the size of the first attempt.
     """
-    results = [[None] * len(group[4]) for group in phases]
+    results = [[None] * len(phase[4]) for phase in phases]
     attempts = []  # (phase, reception, packed system)
-    for gi, group in enumerate(phases):
-        B, receptions = group[1], group[4]
+    for gi, phase in enumerate(phases):
+        B, receptions = phase[1], phase[4]
         todo = []
         for ri, rec in enumerate(receptions):
             u, m = B - int(np.count_nonzero(rec.known)), len(rec.indices)
@@ -293,7 +326,7 @@ def decode_batch(phases) -> list:
                 results[gi][ri] = DecodeResult(ok=False, blocks=None, rank_deficit=u - m)
             else:
                 todo.append((ri, rec.indices[: u + _FIRST_ATTEMPT_EXTRA]))
-        attempts += [(gi, ri, system) for ri, system in _systems(group, todo)]
+        attempts += [(gi, ri, system) for ri, system in _systems(phase, todo)]
     for rerun in (False, True):
         solved = _eliminate([system for _, _, system in attempts])
         retry = {}
@@ -307,7 +340,7 @@ def decode_batch(phases) -> list:
                 blocks = rec.values.copy()
                 blocks[~rec.known] = x
                 results[gi][ri] = DecodeResult(ok=True, blocks=blocks, rank_deficit=0)
-        # rebuild the full rows only for the systems that need them
+        # a retry encodes the further packets it reads
         attempts = [
             (gi, ri, system)
             for gi, todo in retry.items()
@@ -339,4 +372,4 @@ def decode_arrays(
     sent = np.zeros((int(indices.max()) + 1 if len(indices) else 0, F), dtype=np.uint8)
     sent[indices] = payloads.reshape(len(indices), F)
     reception = Reception(indices, mask, values)
-    return decode_batch([(sent, B, phase_id, seed, [reception])])[0][0]
+    return decode_batch([(lambda rows, sel: sent[sel], B, phase_id, seed, [reception])])[0][0]

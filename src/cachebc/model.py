@@ -175,6 +175,13 @@ class SystemConfig:
         return r0
 
 
+def _check_entries(name: str, values) -> None:
+    """Rates and cache sizes must be finite and nonnegative."""
+    for v in values:
+        if not (math.isfinite(v) and v >= 0):
+            raise ConfigError(f"{name} entries must be finite and >= 0, got {v}")
+
+
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check every invariant; returns cfg unchanged if all hold.
 
@@ -195,16 +202,12 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             raise ConfigError(f"deltas not nonincreasing: {cfg.deltas}")
     if len(cfg.rates) != cfg.D:
         raise ConfigError(f"rates must have D={cfg.D} entries, got {len(cfg.rates)}")
-    for r in cfg.rates:
-        if not (math.isfinite(r) and r >= 0):
-            raise ConfigError(f"rates entries must be finite and >= 0, got {r}")
+    _check_entries("rates", cfg.rates)
     if len(cfg.memories) != cfg.K:
         raise ConfigError(
             f"memories must have K={cfg.K} entries, got {len(cfg.memories)}"
         )
-    for m in cfg.memories:
-        if not (math.isfinite(m) and m >= 0):
-            raise ConfigError(f"memories entries must be finite and >= 0, got {m}")
+    _check_entries("memories", cfg.memories)
     if cfg.n is not None and (not isinstance(cfg.n, int) or cfg.n < 1):
         raise ConfigError(f"n must be a positive integer when given, got {cfg.n!r}")
     cfg.demand_set.validate(cfg.K, cfg.D)
@@ -221,8 +224,8 @@ class RateMemoryTuple:
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(float(x) for x in self.rates))
         object.__setattr__(self, "memories", tuple(float(x) for x in self.memories))
-        if any(r < 0 for r in self.rates) or any(m < 0 for m in self.memories):
-            raise ConfigError("rate-memory tuple entries must be >= 0")
+        _check_entries("rates", self.rates)
+        _check_entries("memories", self.memories)
 
 
 @dataclass(frozen=True)

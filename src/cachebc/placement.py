@@ -145,10 +145,24 @@ def sub_message_layout(cfg: SystemConfig, K0: int, t: int, M: float) -> SubMessa
     )
 
 
+# Bound on what a simulated library costs to hold: the library and the K
+# receivers' cache masks, one byte per bit each.  Checked before any of them
+# is allocated.
+MAX_HELD_BYTES = 1 << 28
+
+
 def message_lengths(cfg: SystemConfig) -> list[int]:
-    """Message d has floor(n * R_d) bits."""
+    """Message d has floor(n * R_d) bits.  A library whose bits times
+    (K + 1) exceed ``MAX_HELD_BYTES`` is rejected, naming ``n``."""
     n = cfg.require_n()
-    return [math.floor(n * r) for r in cfg.rates]
+    sizes = [math.floor(n * r) for r in cfg.rates]
+    held = sum(sizes) * (cfg.K + 1)
+    if held > MAX_HELD_BYTES:
+        raise ConfigError(
+            f"n={n} gives a library of {sum(sizes)} bits; with the K={cfg.K} cache masks "
+            f"that is {held} bytes, above the bound of {MAX_HELD_BYTES}"
+        )
+    return sizes
 
 
 def _cache_masks(cfg: SystemConfig, library_bits: int) -> np.ndarray:

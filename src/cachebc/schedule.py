@@ -110,6 +110,10 @@ class PhaseIndex:
     an XOR group, or one position of a plain item followed by ``PAD``;
     padding rows are all ``PAD``.  ``spans`` gives every constituent range
     as (library start, library stop, first row, row stop).
+
+    XOR groups come before plain items, so the plain items
+    (``uncached-part``, ``piggyback-slice``) fill rows ``plain_start:`` and
+    a receiver can take a phase's plain bits in one step.
     """
 
     receiver: int
@@ -117,6 +121,14 @@ class PhaseIndex:
     items: tuple[ItemIndex, ...]
     gather: np.ndarray
     spans: tuple[tuple[int, int, int, int], ...]
+    plain_start: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        xor = [item.kind == "xor-group" for item in self.items]
+        if xor != sorted(xor, reverse=True):
+            raise ValueError("a phase's XOR groups must come before its plain items")
+        plain = [item.start for item in self.items if item.kind != "xor-group"]
+        object.__setattr__(self, "plain_start", plain[0] if plain else len(self.gather))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ Every scheme runs through one trial loop; only the set-up differs: subset
 caches and K phases of XOR groups, plain parts and piggyback slices for the
 XOR schemes, prefix caches and one phase over the demanded message for the
 common-demand scheme.  Neither depends on the library, so an experiment
-makes them once.  A trial draws a uniform library, gathers and
-random-linear-encodes each phase, pushes everything through the erasure
-channel, decodes at every receiver with the blocks it knows, absorbs
-(un-XORs) what it decoded, and compares the demanded message bit for bit.
-Trials run in blocks, phase-major: a block's runs are all transmitted
+makes them once.  A trial draws a uniform library, gathers each phase's
+source blocks and draws the erasures of every channel use; the channel's
+erasures do not depend on the packets, so no packet is encoded before a
+decoder reads it.  Each receiver then decodes with the blocks it knows
+(the decoder encodes, from the phase's blocks, just the packets it reads),
+absorbs (un-XORs) what it decoded, and compares the demanded message bit
+for bit.  Trials run in blocks, phase-major: a block's runs are all drawn
 first, then each phase is decoded at every run's receivers in one batched
 call before the next phase.
 The error probability is estimated over the union of all feasible demands:
@@ -28,7 +30,9 @@ from functools import partial
 import numpy as np
 
 from . import codec
-from .channel import transmit
+# transmit is not called here; it stays importable from this module, where
+# the benchmark's tracer (benchmarks/workloads.py) looks it up by name
+from .channel import erasures, transmit  # noqa: F401
 from .model import ConfigError, SchemeParameters, SystemConfig, config_to_dict, validate_demand
 from .placement import (
     build_caches,
@@ -245,30 +249,23 @@ class _Delivery:
     compile: Callable[..., tuple[PhaseIndex, ...]]
 
     def _send(self, phases: tuple[PhaseIndex, ...], base: list[int]):
-        """Draw a run's library, encode every phase and transmit them all.
-        Returns the flat library, the channel inputs and erasures, and the
-        channel uses of each phase (phase p owns ``uses[p-1]:uses[p]``)."""
+        """Draw a run's library and the erasures of all its channel uses.
+        Returns the flat library, each phase's (B, F) source blocks, the
+        erasures, and the channel uses of each phase (phase p owns
+        ``uses[p-1]:uses[p]``).  Nothing is encoded here: the decoder
+        encodes the packets it reads (``codec.encoder``)."""
         cfg, F = self.cfg, self.cfg.F
         library = flat_library(draw_library(cfg, base))
-        payload_arrays = []
+        blocks = [gather_bits(library, phase.gather).reshape(-1, F) for phase in phases]
         uses = [0]
-        for p, phase in enumerate(phases, start=1):
-            blocks = gather_bits(library, phase.gather).reshape(-1, F)
-            count = phase.budget_uses
-            if count > 0 and blocks.shape[0] > 0:
-                payload_arrays.append(codec.encode_payloads(blocks, count, p, base))
-            else:
-                payload_arrays.append(np.zeros((max(count, 0), F), dtype=np.uint8))
-            uses.append(uses[-1] + count)
-        if uses[-1] == 0:
-            return library, np.zeros((0, F), np.uint8), np.zeros((cfg.K, 0), bool), uses
-        realization = transmit(np.vstack(payload_arrays), cfg.deltas, base)
-        return library, realization.inputs, realization.erased, uses
+        for phase in phases:
+            uses.append(uses[-1] + phase.budget_uses)
+        return library, blocks, erasures(uses[-1], cfg.deltas, base), uses
 
     def run(self, runs) -> list[list[bool]]:
         """Per-receiver success flags of each (phases, demand, seed) run.
 
-        The runs go phase-major: every run is drawn, encoded and transmitted
+        The runs go phase-major: every run's library and erasures are drawn
         first; then phase by phase, phase p is decoded at receivers p..K of
         every run in one ``codec.decode_batch`` call and absorbed before
         phase p+1.  Receivers are independent, so each sees exactly what a
@@ -283,14 +280,14 @@ class _Delivery:
             for r, (phases, _, _) in enumerate(runs):
                 if p > len(phases) or len(phases[p - 1].gather) == 0:
                     continue
-                phase, (_, inputs, erased, uses) = phases[p - 1], sent[r]
-                B = len(phase.gather) // F
+                phase, (_, blocks, erased, uses) = phases[p - 1], sent[r]
+                B = len(blocks[p - 1])
                 span = slice(uses[p - 1], uses[p])
                 receptions = [
                     _reception(phase, B, F, values[r][k - 1], known[r][k - 1], erased[k - 1, span])
                     for k in range(p, cfg.K + 1)
                 ]
-                groups.append((inputs[span], B, p, bases[r], receptions))
+                groups.append((codec.encoder(blocks[p - 1]), B, p, bases[r], receptions))
                 owners.append(r)
             for r, results in zip(owners, codec.decode_batch(groups)):
                 for k, result in enumerate(results, start=p):
@@ -357,22 +354,26 @@ def _prefix_delivery(plan: SchemePlan) -> _Delivery:
 
 
 def _absorb(phase: PhaseIndex, decoded: np.ndarray, values: np.ndarray, known: np.ndarray):
-    """Add a decoded phase to a receiver's knowledge, item by item: plain
-    items outright, an XOR group when exactly one of its constituents is not
-    fully known (the others are stripped from it)."""
+    """Add a decoded phase to a receiver's knowledge: its XOR groups in
+    order, each when exactly one of its constituents is not fully known (the
+    others are stripped from it; an earlier group can complete a later
+    one's constituents), then every plain item outright, in one step
+    (``PhaseIndex`` puts the plain items last)."""
     for item in phase.items:
+        if item.kind != "xor-group":
+            break
         rows, got = phase.gather[item.start : item.stop], decoded[item.start : item.stop]
         data = rows[:, 0] != PAD  # padding rows gather nothing but PAD
         rows, got = rows[data], got[data]
-        if item.kind != "xor-group":
-            values[rows[:, 0]] = got
-            known[rows[:, 0]] = True
-            continue
-        missing = [c for c in range(rows.shape[1]) if not known[rows[:, c]].all()]
-        if len(missing) == 1:
-            others = np.delete(rows, missing[0], axis=1)
-            values[rows[:, missing[0]]] = got ^ gather_bits(values, others)
-            known[rows[:, missing[0]]] = True
+        have = known[rows].all(axis=0)  # per constituent
+        if np.count_nonzero(~have) == 1:
+            target = rows[:, np.argmin(have)]
+            values[target] = got ^ gather_bits(values, rows[:, have])
+            known[target] = True
+    positions = phase.gather[phase.plain_start :, 0]
+    data = positions != PAD
+    values[positions[data]] = decoded[phase.plain_start :][data]
+    known[positions[data]] = True
 
 
 def _plan_from_parameters(cfg: SystemConfig, scheme: str, params: SchemeParameters) -> SchemePlan:

@@ -61,3 +61,14 @@ def test_input_validation():
         transmit(packets(10), [0.2, 0.8], 0)
     with pytest.raises(ConfigError):
         transmit(packets(10), [1.2], 0)
+
+
+def test_erasures_are_the_transmit_rule():
+    # the erasures need no packets: the same seed gives transmit's flags
+    from cachebc.channel import erasures
+
+    for n, deltas, seed in ((5000, [0.7, 0.3], 7), (1, [0.5], [3, 1, 4]), (300, [1.0, 0.4, 0.0], 9)):
+        assert np.array_equal(erasures(n, deltas, seed), transmit(packets(n), deltas, seed).erased)
+    assert erasures(0, [0.8, 0.2], 1).shape == (2, 0)
+    with pytest.raises(ConfigError):
+        erasures(10, [0.2, 0.8], 0)

@@ -270,3 +270,24 @@ def test_simulate_rejects_removed_flags(sim_cfg):
     assert main(base + ["--margin", "2"]) == 2
     assert main(base + ["--slack", "8"]) == 2
     assert main(base + ["--threads", "2"]) == 2
+
+
+def test_simulate_rejects_a_library_too_large_to_hold(capsys, tmp_path):
+    # criterion-5 config at n = 4e9: the library and cache masks would take
+    # 48 GB; the bound is checked before anything of that size is allocated
+    import tracemalloc
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "K": 2, "D": 4, "F": 16, "deltas": [0.8, 0.2], "rates": [1.0] * 4,
+        "memories": [0.8, 0.0], "n": 4_000_000_000,
+    }))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["simulate", "--config", str(path), "--scheme", "joint-2rx"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "error: n=4000000000 gives a library" in err
+    assert peak < 64 << 20

@@ -113,7 +113,7 @@ def test_overhead_32_packets_suffices():
 
 
 def test_truncation_fallback_uses_late_packets():
-    # first u+64 packets rank-deficient but the full set succeeds
+    # first u+16 packets rank-deficient but the full set succeeds
     b = blocks_of(2, F=2)
     payloads = codec.encode_payloads(b, 400, 0, 11)
     A = codec.coefficient_rows(11, 0, 400, 2)
@@ -219,7 +219,7 @@ def test_batched_kernel_at_a_word_boundary():
     assert_matches_reference(systems, codec.solve_gf2_batch(systems))
     b = blocks_of(63, F=1, seed=4)
     res = codec.decode_batch(
-        [(codec.encode_payloads(b, 74, 1, 5), 63, 1, 5,
+        [(codec.encoder(b), 63, 1, 5,
           [codec.Reception(np.arange(74), np.zeros(63, bool), np.zeros((63, 1), np.uint8))])]
     )
     assert res[0][0].ok and np.array_equal(res[0][0].blocks, b)
@@ -266,7 +266,7 @@ def test_decode_batch_equals_single_decodes():
     decode_arrays gives it alone: no unknowns, too few packets, rank
     deficits, the all-packets fallback and full decodes."""
     rng = np.random.default_rng(5)
-    phases, truth = [], []
+    phases, truth, sent = [], [], []
     for phase_id in range(4):
         B = int(rng.integers(1, 40))
         b = blocks_of(B, F=8, seed=phase_id)
@@ -279,9 +279,10 @@ def test_decode_batch_equals_single_decodes():
             size = min(count, B - int(known.sum()) + extra)
             got = np.sort(rng.choice(count, size=max(size, 0), replace=False))
             receptions.append(codec.Reception(got, known, np.where(known[:, None], b, 0)))
-        phases.append((payloads, B, phase_id, [9, phase_id], receptions))
+        phases.append((codec.encoder(b), B, phase_id, [9, phase_id], receptions))
         truth.append(b)
-    # the first u+64 packets repeat one coefficient row; a later one completes the rank
+        sent.append(payloads)
+    # the first u+16 packets repeat one coefficient row; a later one completes the rank
     b = blocks_of(2, F=2)
     A = codec.coefficient_rows(11, 0, 400, 2)
     first = int(np.flatnonzero(A.any(axis=1))[0])
@@ -290,12 +291,13 @@ def test_decode_batch_equals_single_decodes():
     assert len(dup) >= 70
     got = np.array(dup[:70] + rest[:1])
     none = np.zeros(2, bool)
-    phases.append((codec.encode_payloads(b, 400, 0, 11), 2, 0, 11,
+    phases.append((codec.encoder(b), 2, 0, 11,
                    [codec.Reception(got, none, np.zeros((2, 2), np.uint8))]))
     truth.append(b)
+    sent.append(codec.encode_payloads(b, 400, 0, 11))
     outcomes = set()
-    for (payloads, B, phase_id, seed, receptions), results, b in zip(
-        phases, codec.decode_batch(phases), truth
+    for (_, B, phase_id, seed, receptions), results, b, payloads in zip(
+        phases, codec.decode_batch(phases), truth, sent
     ):
         for rec, res in zip(receptions, results):
             known = {int(i): rec.values[i] for i in np.flatnonzero(rec.known)}
@@ -308,3 +310,81 @@ def test_decode_batch_equals_single_decodes():
                          else "decoded" if res.ok else "deficient")
     assert outcomes == {"no unknowns", "too few", "decoded", "deficient"}
     assert results[0].ok  # the fallback found the late packet
+
+
+def random_phases(seed):
+    """Phases of random receptions, decoded and encoded from source blocks:
+    no unknowns, too few packets, rank deficits, full decodes, and the first
+    u+16 (and u+64) received packets repeating one coefficient row while a
+    later one completes the rank.  Returns the phases and their blocks."""
+    rng = np.random.default_rng(seed)
+    phases, truth = [], []
+    for phase_id in range(5):
+        B = int(rng.integers(1, 50))
+        b = blocks_of(B, F=int(rng.choice([1, 8, 17])), seed=seed + phase_id)
+        count = B + 120
+        receptions = []
+        for _ in range(6):
+            known = rng.random(B) < rng.choice([0.0, 0.3, 1.0])
+            extra = int(rng.integers(-2, 3) if rng.random() < 0.5 else rng.integers(3, 90))
+            size = min(count, B - int(known.sum()) + extra)
+            got = np.sort(rng.choice(count, size=max(size, 0), replace=False))
+            receptions.append(codec.Reception(got, known, np.where(known[:, None], b, 0)))
+        phases.append((codec.encoder(b), B, phase_id, [seed, phase_id], receptions))
+        truth.append(b)
+    b = blocks_of(2, F=2)
+    A = codec.coefficient_rows(11, 0, 400, 2)
+    first = int(np.flatnonzero(A.any(axis=1))[0])
+    dup = [j for j in range(400) if (A[j] == A[first]).all()]
+    rest = [j for j in range(400) if A[j].any() and (A[j] != A[first]).any()]
+    late = [np.array(dup[:n] + [j for j in rest if j > dup[n - 1]][:1]) for n in (30, 70)]
+    none = np.zeros(2, bool)
+    phases.append((codec.encoder(b), 2, 0, 11,
+                   [codec.Reception(sel, none, np.zeros((2, 2), np.uint8)) for sel in late]))
+    return phases, truth + [b]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_first_attempt_size_does_not_change_results(monkeypatch, seed):
+    """The packets are consistent, so a first attempt on u+16 or u+64 of
+    them gives the same decoded blocks and, on failure, the deficit of all
+    of them."""
+    phases, _ = random_phases(seed)
+    by_extra = {}
+    for extra in (64, 16):
+        monkeypatch.setattr(codec, "_FIRST_ATTEMPT_EXTRA", extra)
+        by_extra[extra] = codec.decode_batch(phases)
+    outcomes = set()
+    for wide, narrow, phase in zip(by_extra[64], by_extra[16], phases):
+        for a, b, rec in zip(wide, narrow, phase[4]):
+            assert (a.ok, a.rank_deficit) == (b.ok, b.rank_deficit)
+            assert (a.blocks is None and b.blocks is None) or np.array_equal(a.blocks, b.blocks)
+            u = phase[1] - int(rec.known.sum())
+            outcomes.add("no unknowns" if u == 0 else "too few" if len(rec.indices) < u
+                         else "decoded" if a.ok else "deficient")
+    assert outcomes == {"no unknowns", "too few", "decoded", "deficient"}
+    assert all(res.ok for res in by_extra[16][-1])  # the late packet was found
+
+
+def test_decoder_encodes_the_packets_encode_payloads_sends(monkeypatch):
+    """Every payload row the decoder encodes, on first attempts and on a
+    retry of a deficient system, is the row encode_payloads gives that packet,
+    from the same coefficient row."""
+    monkeypatch.setattr(codec, "_FIRST_ATTEMPT_EXTRA", 16)
+    phases, reads = [], []
+    for (source, B, phase_id, seed, receptions), blocks in zip(*random_phases(4)):
+        def recording(rows, sel, source=source, key=(B, phase_id, seed), blocks=blocks):
+            out = source(rows, sel)
+            reads.append((key, blocks, rows, sel, out))
+            return out
+        phases.append((recording, B, phase_id, seed, receptions))
+    codec.decode_batch(phases)
+    for (B, phase_id, seed), blocks, rows, sel, out in reads:
+        count = int(sel[-1]) + 1
+        assert np.array_equal(rows, codec.coefficient_rows(seed, phase_id, count, B)[sel])
+        assert np.array_equal(out, codec.encode_payloads(blocks, count, phase_id, seed)[sel])
+    # the late-packet phase: first attempts on u+16 packets, then a retry on all
+    late = [sel for key, _, _, sel, _ in reads if key == (2, 0, 11)]
+    everything = np.union1d(*(rec.indices for rec in phases[-1][4]))
+    assert len(late) == 2 and len(late[0]) == 18
+    assert np.array_equal(late[1], everything)

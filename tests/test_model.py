@@ -113,6 +113,15 @@ def test_rate_memory_tuple_nonnegative():
         RateMemoryTuple(rates=(-1.0,), memories=(0.5,))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["rates", "memories"])
+def test_rate_memory_tuple_rejects_non_finite(field, bad):
+    entries = dict(rates=(1.0, 0.5), memories=(0.5,))
+    entries[field] = (0.5, bad)
+    with pytest.raises(ConfigError, match=field):
+        RateMemoryTuple(**entries)
+
+
 def test_scheme_parameters_validation():
     p = SchemeParameters(K0=2, t=1, beta=(0.5, 0.3, 0.2), piggyback=((0.1,), (0.0,)))
     p.validate(3)

@@ -215,3 +215,15 @@ def test_library_draw_deterministic():
     c = draw_library(cfg, 43)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
+
+
+def test_library_bound_is_checked_on_the_lengths_alone():
+    # (K + 1) x library bits may reach MAX_HELD_BYTES, not pass it; the
+    # check needs only the message lengths, so neither size is allocated
+    from cachebc import placement
+
+    n = placement.MAX_HELD_BYTES // 3  # K=2, one message of rate 1
+    cfg = SystemConfig(K=2, D=1, F=1, deltas=[0.5, 0.5], rates=[1.0], memories=[0.0, 0.0], n=n)
+    assert placement.message_lengths(cfg) == [n]
+    with pytest.raises(ConfigError, match=f"n={n + 1} "):
+        placement.message_lengths(SystemConfig(**{**cfg.__dict__, "n": n + 1}))

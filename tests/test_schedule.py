@@ -247,6 +247,29 @@ def test_schedule_piggyback_slices_disjoint_t2():
         assert coverage_ok(c, layout, lib, caches, sched, k)
 
 
+
+def test_plain_items_follow_the_xor_groups():
+    # receivers take a phase's XOR groups in order and then all its plain
+    # items at once: every phase lists the groups first, and the plain
+    # items fill the rows from plain_start on
+    from cachebc.schedule import PhaseIndex
+
+    cfg = fresh(4, 2, 3, [0.9, 0.6, 0.4, 0.2], 1.0, [1.5, 1.5, 1.5, 0.0], 1000)
+    _, _, _, _, sched, _ = build_all(cfg, 3, 2, 1.5, (1, 2, 1, 2), seed=7)
+    kinds = set()
+    for phase in sched.phases:
+        xor = [it.kind == "xor-group" for it in phase.items]
+        assert xor == sorted(xor, reverse=True)
+        plain = [it for it in phase.items if it.kind != "xor-group"]
+        assert phase.plain_start == (plain[0].start if plain else len(phase.gather))
+        assert all(it.stop <= phase.plain_start for it in phase.items if it.kind == "xor-group")
+        kinds |= {it.kind for it in phase.items}
+    assert kinds == {"xor-group", "uncached-part", "piggyback-slice"}
+    mixed = next(p for p in sched.phases if len({it.kind for it in p.items}) > 1)
+    with pytest.raises(ValueError, match="XOR groups must come before"):
+        PhaseIndex(mixed.receiver, mixed.budget_uses, mixed.items[::-1], mixed.gather, mixed.spans)
+
+
 # -- unknown-bit accounting and verification -----------------------------------
 
 

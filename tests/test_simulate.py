@@ -300,3 +300,102 @@ def test_partly_known_ranges_pin_decoder_calls(monkeypatch):
     calls = [call for _, call in sorted(calls, key=lambda c: (c[0], c[1][0]))]
     digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
     assert digest == "68350fef27f212f299fb194c112b58269a4d57f632b79f04263bec4d3cc53d9f"
+
+
+def test_xor_scheme_reports_pinned():
+    """The criterion-5 joint-2rx config below and above capacity, and the
+    K=4 general config with four cached-receiver phases: each report is
+    pinned by sha256, so the delivery engine's results stay bit-identical."""
+    import hashlib
+
+    c5 = SystemConfig(
+        K=2, D=4, F=16, deltas=[0.8, 0.2], rates=[1.0] * 4, memories=[0.8, 0.0], n=4000
+    )
+    k4 = SystemConfig(
+        K=4, D=4, F=16, deltas=[0.8, 0.6, 0.4, 0.2], rates=[1.0] * 4,
+        memories=[0.5, 0.5, 0.5, 0.0], n=400,
+    )
+    expected = [
+        (c5, "joint-2rx", 0.9, 3, "6eede878745747d0dd34956d3acd8a023703075b168741b8e7bba10ff0f466bc"),
+        (c5, "joint-2rx", 1.1, 3, "7aac6aee6df977dc0342c9b316cb952a7721baa01b0b54b7919d87bc644dbb42"),
+        (k4, "general", 0.6, 2, "0f2509e94cf8107935b1224005070eb202f7d83bb8938ce0269a3147fe9107dc"),
+    ]
+    for cfg, scheme, backoff, trials, digest in expected:
+        report = estimate_pe(cfg, scheme, backoff=backoff, trials=trials, seed=7).to_dict()
+        del report["elapsed_s"]
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+
+def _general_k3():
+    cfg = SystemConfig(
+        K=3, D=3, F=8, deltas=[0.8, 0.5, 0.2], rates=[1.0] * 3,
+        memories=[0.3, 0.3, 0.0], n=1500,
+    )
+    return cfg, plan_scheme(cfg, "general", backoff=0.8)
+
+
+def test_one_random_stream_per_draw(monkeypatch):
+    """A run derives one library stream, one channel stream and one codec
+    stream per phase it decodes: encoder and decoder share each phase's
+    coefficient draw."""
+    from cachebc import _seeding, channel, codec, placement
+
+    derived = []
+
+    def counting(seed, *tags):
+        derived.append(tags[0])
+        return _seeding.derived_rng(seed, *tags)
+
+    for module in (placement, channel, codec):
+        monkeypatch.setattr(module, "derived_rng", counting)
+    solved = []  # phases with a reception that reaches the elimination
+    decode = codec.decode_batch
+
+    def recording(phases):
+        for _, B, _, _, receptions in phases:
+            unknown = [B - int(rec.known.sum()) for rec in receptions]
+            solved.append(any(0 < u <= len(rec.indices) for u, rec in zip(unknown, receptions)))
+        return decode(phases)
+
+    monkeypatch.setattr(codec, "decode_batch", recording)
+    cfg, plan = _general_k3()
+    assert all(run_trial(cfg, "general", plan, (1, 2, 3), [5, 0, 0]))
+    assert sum(solved) == 3
+    assert sorted(derived) == sorted(
+        [_seeding.LIBRARY_STREAM, _seeding.CHANNEL_STREAM] + [_seeding.CODEC_STREAM] * 3
+    )
+
+
+def test_engine_encodes_what_encode_payloads_sends(monkeypatch):
+    """Every packet the engine's decoder reads carries the payload that
+    encode_payloads gives it over the phase's blocks, gathered here from the
+    run's library independently of the engine."""
+    from cachebc import codec
+    from cachebc._seeding import seed_material
+    from cachebc.placement import draw_library
+    from cachebc.schedule import flat_library, gather_bits
+
+    cfg, plan = _general_k3()
+    demand, seed = (2, 1, 3), [6, 0, 0]
+    delivery, compiled = simulate._experiment(cfg, plan, [demand])
+    reads = []
+    decode = codec.decode_batch
+
+    def recording(phases):
+        wrapped = []
+        for payloads, B, phase_id, base, receptions in phases:
+            def source(rows, sel, payloads=payloads, key=(B, phase_id, base)):
+                out = payloads(rows, sel)
+                reads.append((key, sel, out))
+                return out
+            wrapped.append((source, B, phase_id, base, receptions))
+        return decode(wrapped)
+
+    monkeypatch.setattr(codec, "decode_batch", recording)
+    assert all(delivery.run([(compiled[demand], demand, seed)])[0])
+    library = flat_library(draw_library(plan.cfg_sim, seed_material(seed)))
+    assert {key[1] for key, _, _ in reads} == {1, 2, 3}
+    for (B, p, base), sel, out in reads:
+        blocks = gather_bits(library, compiled[demand][p - 1].gather).reshape(B, cfg.F)
+        sent = codec.encode_payloads(blocks, int(sel[-1]) + 1, p, base)
+        assert np.array_equal(out, sent[sel])
