@@ -4,12 +4,20 @@ A phase's payload is split into B blocks of F bits.  Packet j carries the
 XOR of the blocks selected by a coefficient vector of B independent fair
 bits, derived deterministically from (seed, phase id, j); one coefficient
 vector serves all F bit planes.  The decoder subtracts the contribution of
-blocks it already holds (cached bits, zero padding) and solves the reduced
-system by bit-packed Gauss-Jordan elimination, so side information shrinks
-the system instead of the codebook.  ``decode_batch`` decodes many receivers
-of many phases in one call and eliminates all their systems together with a
-batched Method of Four Russians; ``decode_arrays`` and ``solve_gf2`` are the
-single-system forms of ``decode_batch`` and ``solve_gf2_batch``.
+blocks it already holds (cached bits, zero padding) and solves for the
+rest by bit-packed Gauss-Jordan elimination.  ``decode_batch`` decodes many
+receivers of many phases in one call and eliminates all their systems
+together with a batched Method of Four Russians; ``decode_arrays`` and
+``solve_gf2`` are the single-system forms of ``decode_batch`` and
+``solve_gf2_batch``.
+
+A system stays packed from the draw to the elimination.  The coefficient
+rows are drawn as packed bytes, bit i of byte g the coefficient of block
+8g+i; a system's coefficient part is those bytes for the packets it reads,
+ANDed with the packed mask of its unknown blocks, so a known block stays in
+place as a zero column, which never pivots.  Its right-hand side is the
+payloads less the known blocks' contribution (float32 BLAS products),
+packed to bytes that the kernel puts right after the columns.
 
 The erasures do not depend on what a packet carries, so a packet need not
 exist before a decoder reads it: ``decode_batch`` draws a phase's
@@ -116,123 +124,136 @@ _FIRST_ATTEMPT_EXTRA = 16  # the first solve uses the earliest u + 16 received p
 _KERNEL_WORDS = 1 << 18  # packed words one elimination pass holds (2 MiB)
 
 
-def _pack_system(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Pack one system's (m, F) right-hand side and (m, u) rows into
-    (m, ceil((F+u)/64)) uint64 words.  Bit c of a row is column c of
-    [rhs | rows], at word c//64, position c%64 (little-endian hosts), so the
-    right-hand side sits in the same columns whatever u is."""
-    bits = np.concatenate([rhs, rows], axis=1)
-    m, c = bits.shape
-    pad = (-c) % 64
-    if pad:
-        bits = np.concatenate([bits, np.zeros((m, pad), np.uint8)], axis=1)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    # a column-gathered input packs Fortran-ordered; the word view needs C order
-    return np.ascontiguousarray(packed).view(np.uint64)
+class _System(NamedTuple):
+    """One GF(2) system, packed as the kernel reads it."""
+
+    coefs: np.ndarray  # (m, bytes) uint8: bit i of byte g is column 8g+i
+    rhs: np.ndarray  # (m, ceil(F/8)) uint8 right-hand side, packed the same way
+    unknown: np.ndarray  # the columns solved for, in order; every other column is zero
+    F: int
+
+
+def _system(coefs: np.ndarray, rhs: np.ndarray, unknown: np.ndarray) -> _System:
+    """The system of packed coefficient bytes ``coefs`` and (m, F) right-hand
+    side bits ``rhs``, solved for the columns ``unknown``."""
+    return _System(coefs, np.packbits(rhs, axis=1, bitorder="little"), unknown, rhs.shape[1])
 
 
 def _eliminate(systems) -> list:
-    """Solve packed systems, given as (words, u, F) from ``_pack_system``.
-    Returns (x, deficit) per system, as ``solve_gf2`` does.
-
-    Systems of one F are sorted by u and eliminated together in chunks of at
-    most ``_KERNEL_WORDS`` padded words each."""
+    """Solve ``_System``s; returns (x, deficit) per system, as ``solve_gf2``
+    does.  Systems are sorted by width and eliminated together in chunks of
+    at most ``_KERNEL_WORDS`` padded words each."""
     out = [None] * len(systems)
-    order = sorted(range(len(systems)), key=lambda i: (systems[i][2], -systems[i][1]))
+    order = sorted(range(len(systems)), key=lambda i: -systems[i].coefs.shape[1])
     start = 0
     while start < len(order):
-        _, u, F = systems[order[start]]  # the chunk's widest system
-        width = (F + u + 63) // 64
-        stop, rows = start + 1, len(systems[order[start]][0])
+        first = systems[order[start]]  # the chunk's widest system
+        width = first.coefs.shape[1]
+        stop, rows, rhs = start + 1, len(first.coefs), first.rhs.shape[1]
         while stop < len(order):
-            words, _, f = systems[order[stop]]
-            grown = max(rows, len(words))
-            if f != F or (stop - start + 1) * max(grown, 1) * width > _KERNEL_WORDS:
+            system = systems[order[stop]]
+            grown, wider = max(rows, len(system.coefs)), max(rhs, system.rhs.shape[1])
+            words = (width + wider + 7) // 8
+            if (stop - start + 1) * max(grown, 1) * words > _KERNEL_WORDS:
                 break
-            stop, rows = stop + 1, grown
+            stop, rows, rhs = stop + 1, grown, wider
         chunk = order[start:stop]
-        solved = _m4ri([systems[i][0] for i in chunk], [systems[i][1] for i in chunk], F)
-        for i, result in zip(chunk, solved):
+        for i, result in zip(chunk, _m4ri([systems[i] for i in chunk])):
             out[i] = result
         start = stop
     return out
 
 
-def _m4ri(packed: list, us: list, F: int) -> list:
-    """Gauss-Jordan elimination of S packed systems at once with the Method
-    of Four Russians (Albrecht, Bard and Hart, ACM TOMS 36(2), 2010).
+def _m4ri(systems: list) -> list:
+    """Gauss-Jordan elimination of S ``_System``s at once with the Method of
+    Four Russians (Albrecht, Bard and Hart, ACM TOMS 36(2), 2010).
 
-    The systems sit zero-padded in one (S, rows, words) array.  For each
-    8-column strip, a pivot search vectorised over the systems finds up to
-    eight pivot rows per system, those are reduced against each other, and
-    one 256-entry table per system of their XOR combinations clears the
-    strip from every other row with a single gather.  Columns a system does
-    not have (u < the largest u) are zero and never pivot.
+    Row r of system s is the words ``P[:, s, r]`` of one word-major
+    (W, S, rows) array: the column bytes of the chunk's widest system, then
+    the right-hand-side bytes.  For each 8-column strip, a pivot search
+    vectorised over the systems finds up to eight pivot rows per system,
+    those are reduced against each other, and one 256-entry table per system
+    of their XOR combinations clears the strip from every other row with a
+    single gather.  The tables are held (words, 256, S), so each doubling
+    step of their build writes whole rows; with many small systems that
+    builds them about twice as fast as (words, S, 256).  Rows that may still
+    pivot are zero in every earlier column, so the tables and the update
+    start at the strip's word.  Zero columns (known blocks, filler, a
+    narrower system's missing columns) never pivot.
     """
-    S, U = len(packed), max(us)
-    W = (F + U + 63) // 64
-    R = max(1, max(len(p) for p in packed))
-    P = np.zeros((S, R, W), np.uint64)
-    for s, p in enumerate(packed):
-        P[s, : len(p), : p.shape[1]] = p
-    P8 = P.view(np.uint8)  # byte b of a row holds columns 8b..8b+7
+    S = len(systems)
+    C = max(system.coefs.shape[1] for system in systems)  # column bytes
+    W = max(1, (C + max(system.rhs.shape[1] for system in systems) + 7) // 8)
+    R = max(1, max(len(system.coefs) for system in systems))
+    rows = np.zeros((S, R, 8 * W), np.uint8)
+    for s, system in enumerate(systems):
+        m, c = system.coefs.shape
+        rows[s, :m, :c] = system.coefs
+        rows[s, :m, C : C + system.rhs.shape[1]] = system.rhs
+    # word w of a row holds bytes 8w..8w+7 (little-endian hosts)
+    P = np.ascontiguousarray(rows.view(np.uint64).transpose(2, 0, 1))
+    P8 = P.view(np.uint8)  # P8[w, s, 8r + k] is byte 8w + k of row r
     free = np.full((S, R), 0xFF, np.uint8)  # zero on rows that already pivot
-    pivot = np.full((S, U), -1, np.int64)  # pivot row of each unknown column
+    pivot = np.full((S, 8 * C), -1, np.int64)  # pivot row of each column
     ar = np.arange(S)
-    base = (ar * 256)[:, None]
-    wr = (F + 63) // 64  # words holding right-hand-side bits
-    for b in range(F // 8, (F + U + 7) // 8):
-        strip = P8[:, :, b].copy()  # every row's strip bits before this strip
+    hit = np.empty((S, R), np.uint8)
+    for b in range(C):
+        w, k = divmod(b, 8)
+        strip = P8[w, :, k::8]  # every row's strip bits before this strip
         cand = strip & free  # ... and of the rows that may still pivot
-        G = np.zeros((S, 8, W), np.uint64)  # the strip's pivot rows
-        found = []
-        for j in range(max(8 * b, F) - 8 * b, min(8 * b + 8, F + U) - 8 * b):
-            hit = (cand & np.uint8(1 << j)) != 0
-            r = hit.argmax(axis=1)
-            has = hit[ar, r]
-            if not has.any():
-                continue
-            # XOR the pivot's strip bits into every candidate with bit j set:
-            # clears bit j there and empties the pivot's own entry
-            cand ^= hit * (cand[ar, r] * has)[:, None]
-            ss, rs = ar[has], r[has]
-            free[ss, rs] = 0
-            pivot[ss, 8 * b + j - F] = rs
-            G[ss, j] = P[ss, rs]
-            found.append((j, ss, rs))
-        if not found:
+        # candidates only XOR each other, so a bit none of them has never appears
+        present = int(np.bitwise_or.reduce(cand, axis=None))
+        if not present:
             continue
-        for j, _, _ in found:  # reduce the pivot rows against each other
-            w, sh = divmod(8 * b + j, 64)
-            hit = (G[:, :, w] >> np.uint64(sh)) & np.uint64(1)
-            hit[:, j] = 0
-            G ^= (np.uint64(0) - hit)[:, :, None] & G[:, j, None, :]
-        # words between the right-hand side and the strip hold only earlier
-        # columns; a pivot row is zero in every earlier pivot column
-        lo = max(wr, b // 8)
-        cols = np.concatenate([G[:, :, :wr], G[:, :, lo:]], axis=2) if lo > wr else G
-        table = np.zeros((S, 256, cols.shape[2]), np.uint64)
+        js, rs, pivs = [], [], []
         for j in range(8):
-            np.bitwise_xor(table[:, : 1 << j], cols[:, j, None], out=table[:, 1 << j : 2 << j])
-        update = table.reshape(S * 256, -1).take((base + strip).ravel(), axis=0)
-        update = update.reshape(S, R, -1)
-        if lo > wr:
-            P[:, :, :wr] ^= update[:, :, :wr]
-            P[:, :, lo:] ^= update[:, :, wr:]
+            if not present >> j & 1:
+                continue
+            # the first candidate with bit j; XOR its strip bits into every
+            # candidate with bit j, which clears bit j there and its own entry
+            np.bitwise_and(cand, np.uint8(1 << j), out=hit)
+            r = hit.argmax(axis=1)
+            piv = cand[ar, r]
+            np.right_shift(hit, j, out=hit)
+            np.multiply(hit, piv[:, None], out=hit)
+            cand ^= hit
+            js.append(j)
+            rs.append(r)
+            pivs.append(piv)
+        js = np.array(js)
+        ss, i = np.nonzero((np.stack(pivs, axis=1) >> js) & 1)  # the pivots found
+        rs, js = np.stack(rs, axis=1)[ss, i], js[i]
+        free[ss, rs] = 0
+        pivot[ss, 8 * b + js] = rs
+        G = np.zeros((W - w, 8, S), np.uint64)  # the strip's pivot rows, from word w
+        G[:, js, ss] = P[w:, ss, rs]
+        for j in np.unique(js):  # reduce the pivot rows against each other
+            bit = (G[0] >> np.uint64(8 * k + j)) & np.uint64(1)
+            bit[j] = 0
+            G ^= (np.uint64(0) - bit) & G[:, j, None]
+        table = np.empty((W - w, 256, S), np.uint64)
+        table[:, 0] = 0
+        for j in range(8):
+            np.bitwise_xor(table[:, : 1 << j], G[:, j, None], out=table[:, 1 << j : 2 << j])
+        entry = np.multiply(strip, S, dtype=np.intp)
+        entry += ar[:, None]
+        P[w:] ^= table.reshape(W - w, 256 * S).take(entry, axis=1)
+        P[w:, ss, rs] = G[:, js, ss]  # the update cleared the pivot rows themselves
+    rank = np.count_nonzero(pivot >= 0, axis=1)
+    solved = [s for s, system in enumerate(systems) if rank[s] == len(system.unknown)]
+    # the pivot rows of every solved system's unknown columns, in block order
+    at = [s * R + pivot[s, systems[s].unknown] for s in solved]
+    at = np.concatenate([np.zeros(0, np.int64)] + at)
+    rhs = np.ascontiguousarray(P.reshape(W, S * R)[:, at].T).view(np.uint8)[:, C:]
+    bits = np.unpackbits(rhs, axis=1, count=max(s.F for s in systems), bitorder="little")
+    out, start = [], 0
+    for s, system in enumerate(systems):
+        u = len(system.unknown)
+        if rank[s] < u:
+            out.append((None, u - int(rank[s])))
         else:
-            P ^= update
-        for j, ss, rs in found:  # the update cleared the pivot rows themselves
-            P[ss, rs] = G[ss, j]
-    out = []
-    for s, u in enumerate(us):
-        rows = pivot[s, :u]
-        rank = int(np.count_nonzero(rows >= 0))
-        if rank < u:
-            out.append((None, u - rank))
-            continue
-        rhs = P[s, rows, :wr]
-        x = np.unpackbits(rhs.view(np.uint8), axis=1, bitorder="little")[:, :F]
-        out.append((np.ascontiguousarray(x), 0))
+            out.append((np.ascontiguousarray(bits[start : start + u, : system.F]), 0))
+            start += u
     return out
 
 
@@ -246,8 +267,8 @@ def solve_gf2_batch(systems) -> list:
     packed = []
     for rows, rhs in systems:
         rows = np.asarray(rows, dtype=np.uint8)
-        rhs = np.asarray(rhs, dtype=np.uint8)
-        packed.append((_pack_system(rows, rhs), rows.shape[1], rhs.shape[1]))
+        coefs = np.packbits(rows, axis=1, bitorder="little")
+        packed.append(_system(coefs, np.asarray(rhs, dtype=np.uint8), np.arange(rows.shape[1])))
     return _eliminate(packed)
 
 
@@ -272,23 +293,26 @@ def _systems(phase, todo) -> list:
     """Packed systems of the receptions ``todo`` = [(number, packet
     indices to use)] of one phase.  The phase's coefficient rows are drawn
     once, up to the last packet read; the packets read are unpacked and
-    their payloads obtained once, for all the receptions together."""
+    their payloads obtained once, for all the receptions together.  A
+    system keeps the drawn coefficient bytes, with its known blocks'
+    columns cleared; their contribution moves to the right-hand side."""
     payloads, B, phase_id, seed, receptions = phase
     if not todo:
         return []
     read = np.unique(np.concatenate([sel for _, sel in todo]))
-    packed = _coefficient_bytes(seed, phase_id, int(read[-1]) + 1, B)
-    rows = np.unpackbits(packed[read], axis=1, bitorder="little")[:, :B]
+    packed = _coefficient_bytes(seed, phase_id, int(read[-1]) + 1, B)[read, : (B + 7) // 8]
+    rows = np.unpackbits(packed, axis=1, count=B, bitorder="little")
     sent = payloads(rows, read)
     out = []
     for ri, sel in todo:
         rec = receptions[ri]
         at = np.searchsorted(read, sel)
-        a, rhs = rows[at], sent[at]
+        rhs = sent[at]
         if rec.known.any():
-            rhs = rhs ^ _gf2_matmul(a[:, rec.known], rec.values[rec.known])
-        unknown = a[:, ~rec.known]
-        out.append((ri, (_pack_system(unknown, rhs), unknown.shape[1], rhs.shape[1])))
+            rhs = rhs ^ _gf2_matmul(rows[at][:, rec.known], rec.values[rec.known])
+        unknown = ~rec.known
+        mask = np.packbits(unknown, bitorder="little")  # filler bits clear
+        out.append((ri, _system(packed[at] & mask, rhs, np.flatnonzero(unknown))))
     return out
 
 
@@ -305,13 +329,13 @@ def decode_batch(phases) -> list:
     packets received.  A phase's coefficient rows are drawn once for its
     first attempts and shared by encoder and decoder.
 
-    Known blocks are eliminated before solving.  With u unknown blocks and
-    m received packets, u = 0 succeeds at once and m < u fails without
-    solving; otherwise the earliest u + 16 packets are solved first, and
-    only a rank-deficient system with more packets is solved again on all
-    of them.  The packets are consistent, so any full-rank subset gives the
-    unique solution and a final deficit is that of all m packets: the
-    results do not depend on the size of the first attempt.
+    The known blocks' contribution is taken off before solving.  With u
+    unknown blocks and m received packets, u = 0 succeeds at once and m < u
+    fails without solving; otherwise the earliest u + 16 packets are solved
+    first, and only a rank-deficient system with more packets is solved
+    again on all of them.  The packets are consistent, so any full-rank
+    subset gives the unique solution and a final deficit is that of all m
+    packets: the results do not depend on the size of the first attempt.
     """
     results = [[None] * len(phase[4]) for phase in phases]
     attempts = []  # (phase, reception, packed system)
@@ -332,7 +356,7 @@ def decode_batch(phases) -> list:
         retry = {}
         for (gi, ri, system), (x, deficit) in zip(attempts, solved):
             rec = phases[gi][4][ri]
-            if x is None and not rerun and len(rec.indices) > len(system[0]):
+            if x is None and not rerun and len(rec.indices) > len(system.coefs):
                 retry.setdefault(gi, []).append((ri, rec.indices))
             elif x is None:
                 results[gi][ri] = DecodeResult(ok=False, blocks=None, rank_deficit=deficit)

@@ -35,6 +35,7 @@ from . import codec
 from .channel import erasures, transmit  # noqa: F401
 from .model import ConfigError, SchemeParameters, SystemConfig, config_to_dict, validate_demand
 from .placement import (
+    MAX_HELD_BYTES,
     build_caches,
     build_prefix_caches,
     draw_library,
@@ -411,12 +412,28 @@ def run_trial(cfg: SystemConfig, scheme: str, params, demand, seed) -> list[bool
 def _experiment(cfg: SystemConfig, plan: SchemePlan, demands):
     """The delivery of one experiment over ``demands`` and each distinct
     demand's compiled phases.  A plan with a cache allocation (common
-    demand) places prefixes, any other places subsets."""
+    demand) places prefixes, any other places subsets.
+
+    A phase's largest decoder system reads every packet of the phase, each
+    ceil((B + F)/8) bytes packed; a plan where that exceeds
+    ``MAX_HELD_BYTES`` is rejected, naming ``n``, before any is drawn."""
     for demand in demands:
         if not cfg.demand_set.contains(demand, cfg.K, cfg.D):
             raise ConfigError(f"demand {demand} is not in the feasible set")
     delivery = (_prefix_delivery if plan.allocation is not None else _subset_delivery)(plan)
-    return delivery, {d: delivery.compile(d) for d in dict.fromkeys(demands)}
+    compiled = {d: delivery.compile(d) for d in dict.fromkeys(demands)}
+    F = cfg.F
+    for phases in compiled.values():
+        for phase in phases:
+            B = len(phase.gather) // F
+            held = phase.budget_uses * ((B + F + 7) // 8)
+            if held > MAX_HELD_BYTES:
+                raise ConfigError(
+                    f"n={cfg.n} gives phase {phase.receiver} a decoder system of up to "
+                    f"{phase.budget_uses} packets over {B} blocks; that is {held} bytes, "
+                    f"above the bound of {MAX_HELD_BYTES}"
+                )
+    return delivery, compiled
 
 
 def _trial_runner(cfg: SystemConfig, plan: SchemePlan, demands):

@@ -291,3 +291,26 @@ def test_simulate_rejects_a_library_too_large_to_hold(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "error: n=4000000000 gives a library" in err
     assert peak < 64 << 20
+
+
+def test_simulate_rejects_a_decoder_system_too_large_to_hold(capsys, tmp_path):
+    # common demand at n = 1e5 and F = 1: the library is small, but the one
+    # phase has B = 27000 blocks over 100000 uses, so a system that reads
+    # every packet would take about 320 MiB; rejected before any is drawn
+    import tracemalloc
+
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "K": 2, "D": 2, "F": 1, "deltas": [0.8, 0.2], "rates": [0.3, 0.15],
+        "memories": [0.1, 0.0], "n": 100_000, "demand_set": {"kind": "common"},
+    }))
+    argv = ["simulate", "--config", str(path), "--scheme", "common-demand", "--backoff", "0.9"]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "error: n=100000 gives phase 1 a decoder system" in err
+    assert peak < 64 << 20

@@ -195,7 +195,7 @@ def assert_matches_reference(systems, results):
             assert x.shape == want_x.shape and np.array_equal(x, want_x)
 
 
-@pytest.mark.parametrize("F", [1, 8, 16, 17])
+@pytest.mark.parametrize("F", [1, 8, 16, 17, 65])
 def test_batched_kernel_matches_reference(F):
     rng = np.random.default_rng(F)
     for _ in range(6):
@@ -235,11 +235,90 @@ def test_batched_kernel_in_small_chunks(monkeypatch):
     assert_matches_reference(systems, whole)
 
 
+def test_systems_of_different_widths_share_a_chunk(monkeypatch):
+    # B + F at a word boundary (48 + 16, 63 + 1) and across a byte and a
+    # word boundary (49 + 16, 64 + 1, 49 + 65), all eliminated in one pass
+    rng = np.random.default_rng(12)
+    systems = [
+        consistent_system(rng, 16, 48, 60),
+        consistent_system(rng, 16, 49, 60),
+        consistent_system(rng, 1, 63, 70),
+        consistent_system(rng, 1, 64, 70, deficient=True),
+        consistent_system(rng, 65, 49, 50),
+    ]
+    widths, kernel = [], codec._m4ri
+    monkeypatch.setattr(codec, "_m4ri", lambda chunk: widths.append(
+        sorted(system.coefs.shape[1] for system in chunk)) or kernel(chunk))
+    results = codec.solve_gf2_batch(systems)
+    assert widths == [[6, 7, 7, 8, 8]]
+    assert_matches_reference(systems, results)
+
+
+def assert_decodes_match_reference(phases, results):
+    """Each reception decodes as reference_solve does on all its packets,
+    over its unknown columns only, with the known blocks' contribution
+    taken off the payloads."""
+    outcomes = set()
+    for (source, B, phase_id, seed, receptions), decoded in zip(phases, results):
+        for rec, res in zip(receptions, decoded):
+            A = codec.coefficient_rows(seed, phase_id, int(rec.indices[-1]) + 1, B)[rec.indices]
+            known = A[:, rec.known].astype(np.int64) @ rec.values[rec.known] % 2
+            x, deficit = reference_solve(A[:, ~rec.known], source(A, rec.indices) ^ known)
+            assert (res.ok, res.rank_deficit) == (x is not None, deficit)
+            if res.ok:
+                assert np.array_equal(res.blocks[~rec.known], x)
+                assert np.array_equal(res.blocks[rec.known], rec.values[rec.known])
+            outcomes.add(res.ok)
+    return outcomes
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_decode_batch_with_known_blocks_in_place(where):
+    """Known blocks stay in place as zero columns wherever they sit in the
+    phase, the filler bits past B included (B = 150 is not a multiple of 8)."""
+    B, F = 150, 16
+    b = blocks_of(B, F=F, seed=31)
+    known = np.zeros(B, bool)
+    known[{"start": slice(0, 40), "middle": slice(55, 95), "end": slice(110, 150)}[where]] = True
+    u = B - int(known.sum())
+    rng = np.random.default_rng(len(where))
+    receptions = []
+    for extra in (0, 0, 1, 2, 20, 60):
+        got = np.sort(rng.choice(3 * B, size=u + extra, replace=False))
+        receptions.append(codec.Reception(got, known, np.where(known[:, None], b, 0)))
+    phases = [(codec.encoder(b), B, 3, [7, len(where)], receptions)]
+    results = codec.decode_batch(phases)
+    assert assert_decodes_match_reference(phases, results) == {True, False}
+    assert all(np.array_equal(res.blocks, b) for res in results[0] if res.ok)
+
+
+def test_decode_batch_over_phases_of_different_widths():
+    """Phases with B = 48 and 49 at F = 16 and B = 63 at F = 1, known
+    blocks scattered, decoded in one call."""
+    rng = np.random.default_rng(17)
+    phases, truth = [], []
+    for phase_id, (B, F) in enumerate([(48, 16), (49, 16), (63, 1)]):
+        b = blocks_of(B, F=F, seed=phase_id)
+        receptions = []
+        for share in (0.0, 0.2, 0.5):
+            known = rng.random(B) < share
+            u = B - int(known.sum())
+            extra = int(rng.integers(2, 24)) if share == 0.0 else 0  # u packets often fall short
+            got = np.sort(rng.choice(2 * B + 40, size=u + extra, replace=False))
+            receptions.append(codec.Reception(got, known, np.where(known[:, None], b, 0)))
+        phases.append((codec.encoder(b), B, phase_id, [5, phase_id], receptions))
+        truth.append(b)
+    results = codec.decode_batch(phases)
+    assert assert_decodes_match_reference(phases, results) == {True, False}
+    for decoded, b in zip(results, truth):
+        assert all(np.array_equal(res.blocks, b) for res in decoded if res.ok)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     shapes=st.lists(
-        st.tuples(st.sampled_from([1, 8, 16, 17]), st.integers(0, 80), st.integers(0, 100)),
+        st.tuples(st.sampled_from([1, 8, 16, 17, 65]), st.integers(0, 80), st.integers(0, 100)),
         min_size=1,
         max_size=8,
     ),
