@@ -299,20 +299,27 @@ def _systems(phase, todo) -> list:
     payloads, B, phase_id, seed, receptions = phase
     if not todo:
         return []
-    read = np.unique(np.concatenate([sel for _, sel in todo]))
-    packed = _coefficient_bytes(seed, phase_id, int(read[-1]) + 1, B)[read, : (B + 7) // 8]
+    if len(todo) == 1:  # one reception reads its packets as they are
+        read = np.asarray(todo[0][1])
+        ats = [slice(None)]
+    else:  # the union of the packets read, by a mask over the packets
+        marked = np.zeros(max(int(np.max(sel)) for _, sel in todo) + 1, dtype=bool)
+        for _, sel in todo:
+            marked[sel] = True
+        read = marked.nonzero()[0]
+        ats = [np.searchsorted(read, sel) for _, sel in todo]
+    packed = _coefficient_bytes(seed, phase_id, int(read.max()) + 1, B)[read, : (B + 7) // 8]
     rows = np.unpackbits(packed, axis=1, count=B, bitorder="little")
     sent = payloads(rows, read)
     out = []
-    for ri, sel in todo:
+    for (ri, _), at in zip(todo, ats):
         rec = receptions[ri]
-        at = np.searchsorted(read, sel)
         rhs = sent[at]
         if rec.known.any():
             rhs = rhs ^ _gf2_matmul(rows[at][:, rec.known], rec.values[rec.known])
         unknown = ~rec.known
         mask = np.packbits(unknown, bitorder="little")  # filler bits clear
-        out.append((ri, _system(packed[at] & mask, rhs, np.flatnonzero(unknown))))
+        out.append((ri, _system(packed[at] & mask, rhs, unknown.nonzero()[0])))
     return out
 
 
@@ -395,5 +402,5 @@ def decode_arrays(
         values[i] = v
     sent = np.zeros((int(indices.max()) + 1 if len(indices) else 0, F), dtype=np.uint8)
     sent[indices] = payloads.reshape(len(indices), F)
-    reception = Reception(indices, mask, values)
+    reception = Reception(np.unique(indices), mask, values)  # distinct, earliest first
     return decode_batch([(lambda rows, sel: sent[sel], B, phase_id, seed, [reception])])[0][0]

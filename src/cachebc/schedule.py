@@ -71,8 +71,13 @@ def flat_library(library) -> np.ndarray:
 
 
 def gather_bits(flat: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Bit j is the XOR of ``flat`` at the positions in row j of ``gather``."""
-    return np.bitwise_xor.reduce(flat[gather], axis=1)
+    """Bit j is the XOR of ``flat`` at the positions in row j of ``gather``.
+    The columns are XORed one at a time: on gathers two to four wide that
+    is several times faster than ``np.bitwise_xor.reduce`` over axis 1."""
+    out = flat[gather[:, 0]]
+    for c in range(1, gather.shape[1]):
+        out ^= flat[gather[:, c]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,11 @@ class PhaseIndex:
     (``flat_library``) whose XOR is payload bit j: the t+1 constituents of
     an XOR group, or one position of a plain item followed by ``PAD``;
     padding rows are all ``PAD``.  ``spans`` gives every constituent range
-    as (library start, library stop, first row, row stop).
+    as (library start, library stop, first row, row stop): a contiguous
+    library range laid on contiguous rows of one gather column.  They come
+    item by item, one per constituent, so item i's spans are
+    ``spans[a:b]`` for ``(a, b) = item_spans[i]``; an XOR group's are its
+    t+1 columns over the same rows.
 
     XOR groups come before plain items, so the plain items
     (``uncached-part``, ``piggyback-slice``) fill rows ``plain_start:`` and
@@ -122,13 +131,22 @@ class PhaseIndex:
     gather: np.ndarray
     spans: tuple[tuple[int, int, int, int], ...]
     plain_start: int = field(init=False, repr=False)
+    item_spans: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        xor = [item.kind == "xor-group" for item in self.items]
-        if xor != sorted(xor, reverse=True):
-            raise ValueError("a phase's XOR groups must come before its plain items")
-        plain = [item.start for item in self.items if item.kind != "xor-group"]
-        object.__setattr__(self, "plain_start", plain[0] if plain else len(self.gather))
+        plain_start, item_spans, at = None, [], 0
+        for item in self.items:
+            if item.kind != "xor-group":
+                plain_start = item.start if plain_start is None else plain_start
+            elif plain_start is not None:
+                raise ValueError("a phase's XOR groups must come before its plain items")
+            item_spans.append((at, at + len(item.constituents)))
+            at += len(item.constituents)
+        if at != len(self.spans):
+            raise ValueError("a phase needs one span per item constituent")
+        plain_start = len(self.gather) if plain_start is None else plain_start
+        object.__setattr__(self, "plain_start", plain_start)
+        object.__setattr__(self, "item_spans", tuple(item_spans))
 
 
 @dataclass(frozen=True)

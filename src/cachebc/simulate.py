@@ -10,9 +10,14 @@ erasures do not depend on the packets, so no packet is encoded before a
 decoder reads it.  Each receiver then decodes with the blocks it knows
 (the decoder encodes, from the phase's blocks, just the packets it reads),
 absorbs (un-XORs) what it decoded, and compares the demanded message bit
-for bit.  Trials run in blocks, phase-major: a block's runs are all drawn
-first, then each phase is decoded at every run's receivers in one batched
-call before the next phase.
+for bit.  A receiver's bookkeeping works on a phase's spans, each a
+contiguous library range on contiguous rows of one gather column: a block
+is known when every span its rows touch is, and an XOR group yields its one
+missing constituent span.  Trials run in blocks, phase-major: a block's
+runs are all drawn first, then each phase is decoded at every run's
+receivers in one batched call before the next phase.  A block holds as many
+runs as fit in ``_BLOCK_BYTES`` (16 MiB) of run state
+(``_Delivery.run_bytes``); a run larger than that is a block of its own.
 The error probability is estimated over the union of all feasible demands:
 trial j fails when any receiver fails for any demand, with run (demand
 index, j) seeded by (base seed, demand index, j) so results are
@@ -230,7 +235,7 @@ def plan_scheme(
 # ---------------------------------------------------------------------------
 
 
-_BLOCK_RUNS = 32  # runs decoded together; bounds the memory a block holds
+_BLOCK_BYTES = 16 << 20  # run state a block of runs decoded together may hold
 
 
 @dataclass(frozen=True)
@@ -248,6 +253,13 @@ class _Delivery:
     cached: np.ndarray  # (K, library bits + 1)
     offsets: tuple[int, ...]
     compile: Callable[..., tuple[PhaseIndex, ...]]
+
+    def run_bytes(self, phases: tuple[PhaseIndex, ...]) -> int:
+        """The state ``run`` holds for one run over ``phases``: its library,
+        K known masks and K value rows over it, the phases' source blocks and
+        the erasures of all K receivers over every channel use."""
+        K, L = self.cached.shape
+        return (2 * K + 1) * L + sum(len(ph.gather) + K * ph.budget_uses for ph in phases)
 
     def _send(self, phases: tuple[PhaseIndex, ...], base: list[int]):
         """Draw a run's library and the erasures of all its channel uses.
@@ -307,14 +319,15 @@ class _Delivery:
 
 def _reception(phase: PhaseIndex, B: int, F: int, values, known, erased) -> codec.Reception:
     """What a receiver hands the decoder for one phase: the packets it got,
-    and the blocks whose every constituent range it knows, with their values."""
-    rows_known = np.ones(B * F, dtype=bool)
+    and the blocks whose every constituent span it knows, with their values.
+    A span not wholly known marks the blocks its rows touch as unknown."""
+    known_blocks = np.ones(B, dtype=bool)
+    mask = known.tobytes()  # a span is wholly known when it holds no zero byte
     for lo, hi, first, stop in phase.spans:
-        if not known[lo:hi].all():
-            rows_known[first:stop] = False
-    known_blocks = rows_known.reshape(B, F).all(axis=1)
+        if mask.find(0, lo, hi) >= 0:
+            known_blocks[first // F : -(-stop // F)] = False
     vals_blocks = gather_bits(values, phase.gather).reshape(B, F)
-    return codec.Reception(np.flatnonzero(~erased), known_blocks, vals_blocks)
+    return codec.Reception((~erased).nonzero()[0], known_blocks, vals_blocks)
 
 
 def _subset_delivery(plan: SchemePlan) -> _Delivery:
@@ -343,12 +356,12 @@ def _prefix_delivery(plan: SchemePlan) -> _Delivery:
         lo, bits = offsets[d - 1], sizes[d - 1]
         gather = np.full((bits + (-bits) % F, 1), PAD, dtype=np.int64)
         gather[:bits, 0] = np.arange(lo, lo + bits)
-        # one span per block: a block is known when its real bits lie inside
-        # the receiver's prefix (its padding tail is known zeros)
-        spans = tuple(
-            (lo + a, lo + min(a + F, bits), a, min(a + F, bits)) for a in range(0, bits, F)
-        )
-        item = ItemIndex("uncached-part", ((d, 0, 0, bits),), frozenset(), None, 0, len(gather))
+        # one constituent and span per block: a block is known when its real
+        # bits lie inside the receiver's prefix (its padding tail is known zeros)
+        cuts = [(a, min(a + F, bits)) for a in range(0, bits, F)]
+        spans = tuple((lo + a, lo + b, a, b) for a, b in cuts)
+        consts = tuple((d, 0, a, b) for a, b in cuts)
+        item = ItemIndex("uncached-part", consts, frozenset(), None, 0, len(gather))
         return (PhaseIndex(1, n, (item,), gather, spans),)
 
     return _Delivery(cfg, build_prefix_caches(cfg, plan.allocation), offsets, compile)
@@ -356,21 +369,23 @@ def _prefix_delivery(plan: SchemePlan) -> _Delivery:
 
 def _absorb(phase: PhaseIndex, decoded: np.ndarray, values: np.ndarray, known: np.ndarray):
     """Add a decoded phase to a receiver's knowledge: its XOR groups in
-    order, each when exactly one of its constituents is not fully known (the
-    others are stripped from it; an earlier group can complete a later
+    order, each when exactly one of its constituent spans is not fully known
+    (the others are stripped from it; an earlier group can complete a later
     one's constituents), then every plain item outright, in one step
     (``PhaseIndex`` puts the plain items last)."""
-    for item in phase.items:
+    for item, (a, b) in zip(phase.items, phase.item_spans):
         if item.kind != "xor-group":
             break
-        rows, got = phase.gather[item.start : item.stop], decoded[item.start : item.stop]
-        data = rows[:, 0] != PAD  # padding rows gather nothing but PAD
-        rows, got = rows[data], got[data]
-        have = known[rows].all(axis=0)  # per constituent
-        if np.count_nonzero(~have) == 1:
-            target = rows[:, np.argmin(have)]
-            values[target] = got ^ gather_bits(values, rows[:, have])
-            known[target] = True
+        spans = phase.spans[a:b]  # one per column, all over the same rows
+        missing = [span for span in spans if not known[span[0] : span[1]].all()]
+        if len(missing) == 1:
+            lo, hi, first, stop = missing[0]
+            got = decoded[first:stop]
+            for other_lo, other_hi, _, _ in spans:
+                if other_lo != lo:
+                    got = got ^ values[other_lo:other_hi]
+            values[lo:hi] = got
+            known[lo:hi] = True
     positions = phase.gather[phase.plain_start :, 0]
     data = positions != PAD
     values[positions[data]] = decoded[phase.plain_start :][data]
@@ -414,9 +429,11 @@ def _experiment(cfg: SystemConfig, plan: SchemePlan, demands):
     demand's compiled phases.  A plan with a cache allocation (common
     demand) places prefixes, any other places subsets.
 
-    A phase's largest decoder system reads every packet of the phase, each
-    ceil((B + F)/8) bytes packed; a plan where that exceeds
-    ``MAX_HELD_BYTES`` is rejected, naming ``n``, before any is drawn."""
+    A phase's largest decoder system reads every packet of the phase: its
+    coefficient row is unpacked to B bytes, one per block, for the
+    products, and the system holds ceil((B + F)/8) bytes of it packed.  A
+    plan where the larger of the two exceeds ``MAX_HELD_BYTES`` is
+    rejected, naming ``n``, before any is drawn."""
     for demand in demands:
         if not cfg.demand_set.contains(demand, cfg.K, cfg.D):
             raise ConfigError(f"demand {demand} is not in the feasible set")
@@ -426,7 +443,7 @@ def _experiment(cfg: SystemConfig, plan: SchemePlan, demands):
     for phases in compiled.values():
         for phase in phases:
             B = len(phase.gather) // F
-            held = phase.budget_uses * ((B + F + 7) // 8)
+            held = phase.budget_uses * max(B, (B + F + 7) // 8)
             if held > MAX_HELD_BYTES:
                 raise ConfigError(
                     f"n={cfg.n} gives phase {phase.receiver} a decoder system of up to "
@@ -546,8 +563,10 @@ def estimate_pe(
     jobs = [(di, j) for j in range(trials) for di in range(len(demands))]
     fail_counts = [[0] * cfg.K for _ in demands]
     union_fail = [False] * trials
-    for i in range(0, len(jobs), _BLOCK_RUNS):
-        block = jobs[i : i + _BLOCK_RUNS]
+    # as many runs per block as _BLOCK_BYTES holds; a larger run is a block alone
+    size = max(1, _BLOCK_BYTES // max(map(delivery.run_bytes, compiled.values())))
+    for i in range(0, len(jobs), size):
+        block = jobs[i : i + size]
         runs = [(compiled[demands[di]], demands[di], [seed, di, j]) for di, j in block]
         for (di, j), flags in zip(block, delivery.run(runs)):
             for k, ok in enumerate(flags):

@@ -314,3 +314,27 @@ def test_simulate_rejects_a_decoder_system_too_large_to_hold(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "error: n=100000 gives phase 1 a decoder system" in err
     assert peak < 64 << 20
+
+
+def test_simulate_rejects_decoder_rows_too_large_to_unpack(capsys, tmp_path):
+    # common demand at n = 35000 and F = 1: the packed system of all 35000
+    # packets over B = 9450 blocks takes 41 MB, but its coefficient rows,
+    # unpacked to a byte per block for the products, would take 331 MB;
+    # rejected before any is drawn
+    import tracemalloc
+
+    path = tmp_path / "unpacked.json"
+    path.write_text(json.dumps({
+        "K": 2, "D": 2, "F": 1, "deltas": [0.8, 0.2], "rates": [0.3, 0.15],
+        "memories": [0.1, 0.0], "n": 35_000, "demand_set": {"kind": "common"},
+    }))
+    argv = ["simulate", "--config", str(path), "--scheme", "common-demand", "--backoff", "0.9"]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "error: n=35000 gives phase 1 a decoder system of up to 35000 packets over 9450" in err
+    assert peak < 64 << 20

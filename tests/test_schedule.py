@@ -270,6 +270,48 @@ def test_plain_items_follow_the_xor_groups():
         PhaseIndex(mixed.receiver, mixed.budget_uses, mixed.items[::-1], mixed.gather, mixed.spans)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_gather_bits_xors_each_row(width):
+    # column-by-column XOR equals the axis-1 reduction, PAD rows included
+    from cachebc.schedule import PAD
+
+    rng = np.random.default_rng(width)
+    flat = flat_library([rng.integers(0, 2, 50, dtype=np.uint8)])
+    gather = rng.integers(0, 50, (40, width))
+    gather[rng.random((40, width)) < 0.2] = PAD
+    gather[:5] = PAD
+    for g in (gather, gather[:0]):
+        got = gather_bits(flat, g)
+        want = np.bitwise_xor.reduce(flat[g], axis=1)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_item_spans_follow_the_items():
+    # item i's spans are the next len(constituents) spans: an XOR group's are
+    # its t+1 columns over the group's data rows, a plain item's lie in its rows
+    from cachebc.schedule import PAD, PhaseIndex
+
+    cfg = fresh(4, 2, 3, [0.9, 0.6, 0.4, 0.2], 1.0, [1.5, 1.5, 1.5, 0.0], 1000)
+    _, _, _, _, sched, _ = build_all(cfg, 3, 2, 1.5, (1, 1, 1, 2), seed=7)
+    for phase in sched.phases:
+        assert [b for _, b in phase.item_spans][-1:] == [len(phase.spans)]
+        for item, (a, b) in zip(phase.items, phase.item_spans):
+            spans = phase.spans[a:b]
+            assert b - a == len(item.constituents)
+            if item.kind == "xor-group":
+                data = int(np.count_nonzero(phase.gather[item.start : item.stop, 0] != PAD))
+                assert {(first, stop) for _, _, first, stop in spans} == {
+                    (item.start, item.start + data)
+                }
+                for c, (lo, hi, first, stop) in enumerate(spans):
+                    assert np.array_equal(phase.gather[first:stop, c], np.arange(lo, hi))
+            else:
+                assert all(item.start <= first <= stop <= item.stop for _, _, first, stop in spans)
+    phase = sched.phases[0]
+    with pytest.raises(ValueError, match="one span per item constituent"):
+        PhaseIndex(phase.receiver, phase.budget_uses, phase.items, phase.gather, phase.spans[1:])
+
+
 # -- unknown-bit accounting and verification -----------------------------------
 
 

@@ -1,9 +1,12 @@
+import functools
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachebc import (
     ConfigError,
@@ -399,3 +402,170 @@ def test_engine_encodes_what_encode_payloads_sends(monkeypatch):
         blocks = gather_bits(library, compiled[demand][p - 1].gather).reshape(B, cfg.F)
         sent = codec.encode_payloads(blocks, int(sel[-1]) + 1, p, base)
         assert np.array_equal(out, sent[sel])
+
+
+# -- span-level receiver bookkeeping --------------------------------------------
+
+
+def _reception_rows(phase, B, F, values, known, erased):
+    """Row-level reference for ``simulate._reception``: a B*F row mask
+    cleared on the rows of every span not wholly known."""
+    rows_known = np.ones(B * F, dtype=bool)
+    for lo, hi, first, stop in phase.spans:
+        if not known[lo:hi].all():
+            rows_known[first:stop] = False
+    known_blocks = rows_known.reshape(B, F).all(axis=1)
+    vals_blocks = np.bitwise_xor.reduce(values[phase.gather], axis=1).reshape(B, F)
+    return np.flatnonzero(~erased), known_blocks, vals_blocks
+
+
+def _absorb_rows(phase, decoded, values, known):
+    """Row-level reference for ``simulate._absorb``: each XOR group is
+    tested and stripped over its gather rows."""
+    for item in phase.items:
+        if item.kind != "xor-group":
+            break
+        rows, got = phase.gather[item.start : item.stop], decoded[item.start : item.stop]
+        data = rows[:, 0] != simulate.PAD
+        rows, got = rows[data], got[data]
+        have = known[rows].all(axis=0)
+        if np.count_nonzero(~have) == 1:
+            target = rows[:, np.argmin(have)]
+            values[target] = got ^ np.bitwise_xor.reduce(values[rows[:, have]], axis=1)
+            known[target] = True
+    positions = phase.gather[phase.plain_start :, 0]
+    data = positions != simulate.PAD
+    values[positions[data]] = decoded[phase.plain_start :][data]
+    known[positions[data]] = True
+
+
+@functools.cache
+def _bookkeeping_phases():
+    """(cached masks, F, phase) for every compiled phase of a few demands of
+    each scheme, with repeated demands so that XOR groups share constituents
+    and t = 2 so that ranges are decoded in part."""
+    from cachebc import SchemeParameters
+
+    c2 = dict(K=2, D=2, F=8, deltas=[0.8, 0.2], rates=[1.0] * 2, n=600)
+    k4 = SystemConfig(
+        K=4, D=4, F=16, deltas=[0.8, 0.6, 0.4, 0.2], rates=[1.0] * 4,
+        memories=[0.5, 0.5, 0.5, 0.0], n=400,
+    )
+    k5 = SystemConfig(
+        K=5, D=2, F=8, deltas=[0.3, 0.25, 0.2, 0.1, 0.05], rates=[0.6] * 2,
+        memories=[0.6, 0.6, 0.6, 0.0, 0.0], n=1200,
+    )
+    k5_params = SchemeParameters(
+        K0=3, t=2, beta=(0.3, 0.3, 0.2, 0.1, 0.1),
+        piggyback=((0.05, 0.02), (0.03, 0.06), (0.02, 0.01)),
+    )
+    common = SystemConfig(
+        K=2, D=2, F=4, deltas=[0.8, 0.2], rates=[0.3, 0.15], memories=[0.1, 0.0], n=400,
+        demand_set=DemandSet(kind="common"),
+    )
+    cases = [
+        (SystemConfig(**c2, memories=[0.5, 0.5]), "symmetric-2rx", [(1, 2), (2, 2)]),
+        (SystemConfig(**c2, memories=[0.8, 0.0]), "separate-asym-2rx", [(1, 2), (1, 1)]),
+        (SystemConfig(**c2, memories=[0.8, 0.0]), "joint-2rx", [(2, 1), (2, 2)]),
+        (k4, "general", [(1, 2, 3, 4), (1, 1, 1, 2), (2, 2, 3, 3)]),  # t = 1
+        (k5, simulate._plan_from_parameters(k5, "general", k5_params), [(1, 1, 1, 1, 1), (1, 2, 1, 2, 2)]),
+        (common, "common-demand", [(1, 1), (2, 2)]),
+    ]
+    out = []
+    for cfg, plan, demands in cases:
+        if isinstance(plan, str):
+            plan = plan_scheme(cfg, plan, backoff=0.9)
+        delivery, compiled = simulate._experiment(cfg, plan, demands)
+        for phases in compiled.values():
+            out += [(delivery.cached, cfg.F, phase) for phase in phases]
+    return tuple(out)
+
+
+def _check_bookkeeping(case: int, k_offset: int, seed: int) -> set:
+    """Compare the span-level reception and absorb with the row-level
+    references on one phase under a random knowledge state; returns the
+    situations the state produced."""
+    phases = _bookkeeping_phases()
+    cached, F, phase = phases[case % len(phases)]
+    rng = np.random.default_rng(seed)
+    K = len(cached)
+    k = phase.receiver + k_offset % (K - phase.receiver + 1)
+    known = cached[k - 1].copy()
+    for lo, hi, _, _ in phase.spans:  # each span: cached, known, unknown or partly known
+        how = rng.integers(4)
+        if how == 1:
+            known[lo:hi] = True
+        elif how == 2:
+            known[lo:hi] = False
+        elif how == 3:
+            known[lo:hi] = rng.random(hi - lo) < 0.5
+    values = rng.integers(0, 2, len(known), dtype=np.uint8) * known
+    B = len(phase.gather) // F
+    erased = rng.random(phase.budget_uses) < 0.4
+    decoded = rng.integers(0, 2, B * F, dtype=np.uint8)
+
+    got = simulate._reception(phase, B, F, values, known, erased)
+    want = _reception_rows(phase, B, F, values, known, erased)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    seen = set()
+    for lo, hi, _, _ in phase.spans:
+        if 0 < np.count_nonzero(known[lo:hi]) < hi - lo:
+            seen.add("partly known span")
+    groups = [phase.spans[a:b] for item, (a, b) in zip(phase.items, phase.item_spans)
+              if item.kind == "xor-group"]
+    missing = [sum(not known[lo:hi].all() for lo, hi, _, _ in spans) for spans in groups]
+    seen |= {f"{min(m, 2)} missing" for m in missing}
+    v1, k1, v2, k2 = values.copy(), known.copy(), values.copy(), known.copy()
+    simulate._absorb(phase, decoded, v1, k1)
+    _absorb_rows(phase, decoded, v2, k2)
+    assert np.array_equal(v1, v2) and np.array_equal(k1, k2)
+    for spans, m in zip(groups, missing):
+        # only an earlier group can complete one of two missing constituents
+        if m == 2 and all(k1[lo:hi].all() for lo, hi, _, _ in spans):
+            seen.add("completed by an earlier group")
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(0, 10**6), k_offset=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_span_bookkeeping_matches_row_level_reference(case, k_offset, seed):
+    """``_reception`` and ``_absorb`` work on a phase's spans; they agree
+    with the row-level versions on random knowledge states."""
+    _check_bookkeeping(case, k_offset, seed)
+
+
+def test_span_bookkeeping_cases_are_covered():
+    # the random states above reach every situation the span rules single out
+    seen = set()
+    for i in range(400):
+        seen |= _check_bookkeeping(i, i // 7, i)
+    assert seen == {
+        "partly known span", "0 missing", "1 missing", "2 missing",
+        "completed by an earlier group",
+    }
+
+
+def test_block_size_does_not_change_the_report(monkeypatch):
+    """Runs are decoded in blocks sized by bytes: one run per block, a few
+    runs, or all runs at once give the same report."""
+    cfg, plan = _general_k3()
+    delivery, compiled = simulate._experiment(cfg, plan, [(1, 2, 3)])
+    per_run = delivery.run_bytes(compiled[(1, 2, 3)])
+    sizes = []
+    run = simulate._Delivery.run
+
+    def recording(self, runs):
+        sizes.append(len(runs))
+        return run(self, runs)
+
+    monkeypatch.setattr(simulate._Delivery, "run", recording)
+    reports = []
+    for budget in (1, 3 * per_run + 1, 1 << 40):
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", budget)
+        report = estimate_pe(cfg, "general", plan, trials=2, seed=5, demand_cap=5).to_dict()
+        del report["elapsed_s"]
+        reports.append(report)
+    assert sizes == [1] * 10 + [3, 3, 3, 1] + [10]
+    assert reports[0] == reports[1] == reports[2]
