@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeding import CHANNEL_STREAM, derived_rng
+from ._seeding import CHANNEL_STREAM, stream_rng
 from .model import ConfigError
 
 __all__ = ["ChannelRealization", "erasures", "transmit"]
@@ -60,14 +60,15 @@ class ChannelRealization:
 def erasures(count: int, deltas, seed) -> np.ndarray:
     """The (K, count) erased flags of ``count`` channel uses: receiver k
     misses use j exactly when U_j < delta_k, with U from one uniform draw
-    on the channel stream of ``seed``."""
+    on the channel stream of ``seed`` (seed material, or that stream's
+    ``Stream``)."""
     deltas = [float(d) for d in deltas]
     for a, b in zip(deltas, deltas[1:]):
         if b > a:
             raise ConfigError(f"deltas not nonincreasing: {deltas}")
     if any(not 0.0 <= d <= 1.0 for d in deltas):
         raise ConfigError("deltas must lie in [0, 1]")
-    u = derived_rng(seed, CHANNEL_STREAM).random(count)
+    u = stream_rng(seed, CHANNEL_STREAM).random(count)
     return np.stack([u < d for d in deltas])
 
 

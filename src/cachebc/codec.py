@@ -16,15 +16,19 @@ rows are drawn as packed bytes, bit i of byte g the coefficient of block
 8g+i; a system's coefficient part is those bytes for the packets it reads,
 ANDed with the packed mask of its unknown blocks, so a known block stays in
 place as a zero column, which never pivots.  Its right-hand side is the
-payloads less the known blocks' contribution (float32 BLAS products),
-packed to bytes that the kernel puts right after the columns.
+payloads less the known blocks' contribution, packed to bytes that the
+kernel puts right after the columns.  Over GF(2),
+``payloads ^ rows[:, known] @ values[known]`` is ``rows @ (blocks ^ known
+values)``, so the payload source gives it with one float32 BLAS product
+per system.
 
 The erasures do not depend on what a packet carries, so a packet need not
 exist before a decoder reads it: ``decode_batch`` draws a phase's
 coefficient rows once, up to the last packet its first attempts read, and
-encodes exactly the packets they read from those rows (``encoder``).  The
-first attempt reads the earliest u + 16 received packets; only a
-rank-deficient system with more packets is solved again on all of them.
+each system encodes exactly the packets it reads from its own rows
+(``encoder``).  The first attempt reads the earliest u + 16 received
+packets; only a rank-deficient system with more packets is solved again on
+all of them.
 
 Pure random coefficients need a little rank slack: u unknown blocks decode
 with probability >= 0.99 from u + 32 received packets.  The simulation
@@ -39,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._seeding import CODEC_STREAM, derived_rng
+from ._seeding import CODEC_STREAM, stream_rng
 
 __all__ = [
     "DecodeResult",
@@ -67,8 +71,9 @@ class DecodeResult:
 def _coefficient_bytes(seed, phase_id: int, count: int, B: int) -> np.ndarray:
     """Coefficient rows 0..count-1 as packed bytes, (count, 8 ceil(B/64)):
     bit i of byte g is the coefficient of block 8g+i; bits past B are
-    filler.  Row j depends only on (seed, phase_id, j, B)."""
-    rng = derived_rng(seed, CODEC_STREAM, int(phase_id))
+    filler.  Row j depends only on (seed, phase_id, j, B); ``seed`` is seed
+    material, or the ``Stream`` of (seed, CODEC_STREAM, phase_id)."""
+    rng = stream_rng(seed, CODEC_STREAM, int(phase_id))
     words_per_row = (B + 63) // 64
     raw = rng.bit_generator.random_raw(count * words_per_row)
     return raw.view(np.uint8).reshape(count, 8 * words_per_row)
@@ -88,11 +93,9 @@ def _gf2_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     (inner dimension < 2^24) and routes through BLAS.  A is converted 1024
     rows at a time, which bounds the float copy."""
     Xf = X.astype(np.float32)
-    out = np.empty((A.shape[0], X.shape[1]), np.uint8)
-    for i in range(0, A.shape[0], 1024):
-        prod = A[i : i + 1024].astype(np.float32) @ Xf
-        out[i : i + 1024] = prod.astype(np.int64) & 1
-    return out
+    chunks = [A[i : i + 1024] for i in range(0, len(A), 1024)] or [A]
+    out = [(c.astype(np.float32) @ Xf).astype(np.int32).astype(np.uint8) & 1 for c in chunks]
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _encode_rows(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -103,9 +106,11 @@ def _encode_rows(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def encoder(blocks):
     """The payload source (see ``decode_batch``) of a phase whose (B, F)
-    source blocks are ``blocks``: it encodes the packets a decoder reads."""
+    source blocks are ``blocks``: it encodes the packets a decoder reads.
+    Encoding is linear, so the payloads less the known blocks'
+    contribution are one encode, over ``blocks ^ known``."""
     blocks = np.asarray(blocks, dtype=np.uint8)
-    return lambda rows, sel: _encode_rows(blocks, rows)
+    return lambda rows, sel, known: _encode_rows(blocks ^ known, rows)
 
 
 def encode_payloads(blocks, count: int, phase_id: int, seed) -> np.ndarray:
@@ -135,8 +140,14 @@ class _System(NamedTuple):
 
 def _system(coefs: np.ndarray, rhs: np.ndarray, unknown: np.ndarray) -> _System:
     """The system of packed coefficient bytes ``coefs`` and (m, F) right-hand
-    side bits ``rhs``, solved for the columns ``unknown``."""
-    return _System(coefs, np.packbits(rhs, axis=1, bitorder="little"), unknown, rhs.shape[1])
+    side bits ``rhs``, solved for the columns ``unknown``.  The rows are
+    padded to whole bytes and packed as one flat array, which on small
+    systems is several times faster than ``packbits`` over axis 1."""
+    m, F = rhs.shape
+    if F % 8:
+        rhs = np.concatenate([rhs, np.zeros((m, -F % 8), np.uint8)], axis=1)
+    packed = np.packbits(rhs.reshape(-1), bitorder="little").reshape(m, rhs.shape[1] // 8)
+    return _System(coefs, packed, unknown, F)
 
 
 def _eliminate(systems) -> list:
@@ -292,34 +303,24 @@ class Reception(NamedTuple):
 def _systems(phase, todo) -> list:
     """Packed systems of the receptions ``todo`` = [(number, packet
     indices to use)] of one phase.  The phase's coefficient rows are drawn
-    once, up to the last packet read; the packets read are unpacked and
-    their payloads obtained once, for all the receptions together.  A
-    system keeps the drawn coefficient bytes, with its known blocks'
-    columns cleared; their contribution moves to the right-hand side."""
+    once, up to the last packet read, and each system is built from the
+    rows of its own packets: the drawn coefficient bytes with its known
+    blocks' columns cleared, and the right-hand side from the payload
+    source, which takes the known blocks' contribution off."""
     payloads, B, phase_id, seed, receptions = phase
     if not todo:
         return []
-    if len(todo) == 1:  # one reception reads its packets as they are
-        read = np.asarray(todo[0][1])
-        ats = [slice(None)]
-    else:  # the union of the packets read, by a mask over the packets
-        marked = np.zeros(max(int(np.max(sel)) for _, sel in todo) + 1, dtype=bool)
-        for _, sel in todo:
-            marked[sel] = True
-        read = marked.nonzero()[0]
-        ats = [np.searchsorted(read, sel) for _, sel in todo]
-    packed = _coefficient_bytes(seed, phase_id, int(read.max()) + 1, B)[read, : (B + 7) // 8]
-    rows = np.unpackbits(packed, axis=1, count=B, bitorder="little")
-    sent = payloads(rows, read)
+    last = max(int(sel[-1]) for _, sel in todo)  # indices are earliest first
+    drawn = _coefficient_bytes(seed, phase_id, last + 1, B)[:, : (B + 7) // 8]
     out = []
-    for (ri, _), at in zip(todo, ats):
+    for ri, sel in todo:
         rec = receptions[ri]
-        rhs = sent[at]
-        if rec.known.any():
-            rhs = rhs ^ _gf2_matmul(rows[at][:, rec.known], rec.values[rec.known])
+        packed = drawn[sel]
+        rows = np.unpackbits(packed, axis=1, count=B, bitorder="little")
+        rhs = payloads(rows, sel, rec.values * rec.known[:, None])
         unknown = ~rec.known
         mask = np.packbits(unknown, bitorder="little")  # filler bits clear
-        out.append((ri, _system(packed[at] & mask, rhs, unknown.nonzero()[0])))
+        out.append((ri, _system(packed & mask, rhs, unknown.nonzero()[0])))
     return out
 
 
@@ -328,15 +329,18 @@ def decode_batch(phases) -> list:
     elimination; returns one list of ``DecodeResult`` per phase.
 
     ``phases`` holds (payloads, B, phase_id, seed, receptions) tuples: the
-    phase's payload source, its block count, and a sequence of
-    ``Reception``.  ``payloads(rows, sel)`` gives the (len(sel), F)
-    payloads of the packets ``sel`` (sorted, distinct), whose unpacked
-    coefficient rows are ``rows``: ``encoder(blocks)`` encodes them from the
-    phase's source blocks, and ``decode_arrays`` looks them up among the
-    packets received.  A phase's coefficient rows are drawn once for its
-    first attempts and shared by encoder and decoder.
+    phase's payload source, its block count, its codec stream (seed
+    material, or the phase's ``Stream``) and a sequence of ``Reception``.
+    ``payloads(rows, sel, known)`` gives the (len(sel), F) right-hand side
+    of the packets ``sel`` (sorted, distinct), whose unpacked coefficient
+    rows are ``rows``: their payloads XOR ``rows @ known`` over GF(2), where
+    ``known`` is the (B, F) values of the reception's known blocks, zero on
+    the others.  ``encoder(blocks)`` encodes them over ``blocks ^ known``,
+    and ``decode_arrays`` looks the payloads up among the packets received.
+    A phase's coefficient rows are drawn once for its first attempts and
+    shared by encoder and decoder.
 
-    The known blocks' contribution is taken off before solving.  With u
+    The known blocks' contribution is thus taken off before solving.  With u
     unknown blocks and m received packets, u = 0 succeeds at once and m < u
     fails without solving; otherwise the earliest u + 16 packets are solved
     first, and only a rank-deficient system with more packets is solved
@@ -403,4 +407,5 @@ def decode_arrays(
     sent = np.zeros((int(indices.max()) + 1 if len(indices) else 0, F), dtype=np.uint8)
     sent[indices] = payloads.reshape(len(indices), F)
     reception = Reception(np.unique(indices), mask, values)  # distinct, earliest first
-    return decode_batch([(lambda rows, sel: sent[sel], B, phase_id, seed, [reception])])[0][0]
+    source = lambda rows, sel, known: sent[sel] ^ _gf2_matmul(rows, known)  # noqa: E731
+    return decode_batch([(source, B, phase_id, seed, [reception])])[0][0]

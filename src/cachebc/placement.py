@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._seeding import LIBRARY_STREAM, derived_rng
+from ._seeding import LIBRARY_STREAM, stream_rng
 from .model import ConfigError, SystemConfig, check_k0_t, check_memory
 from .regions import OutOfRegimeError
 
@@ -230,6 +230,8 @@ def build_prefix_caches(cfg: SystemConfig, allocation) -> np.ndarray:
 
 
 def draw_library(cfg: SystemConfig, seed) -> list[np.ndarray]:
-    """Uniform library draw: message d gets floor(n * R_d) fair bits."""
-    rng = derived_rng(seed, LIBRARY_STREAM)
+    """Uniform library draw: message d gets floor(n * R_d) fair bits, from
+    the library stream of ``seed`` (seed material, or that stream's
+    ``Stream``)."""
+    rng = stream_rng(seed, LIBRARY_STREAM)
     return [rng.integers(0, 2, size=b, dtype=np.uint8) for b in message_lengths(cfg)]

@@ -4,11 +4,13 @@ Every scheme runs through one trial loop; only the set-up differs: subset
 caches and K phases of XOR groups, plain parts and piggyback slices for the
 XOR schemes, prefix caches and one phase over the demanded message for the
 common-demand scheme.  Neither depends on the library, so an experiment
-makes them once.  A trial draws a uniform library, gathers each phase's
-source blocks and draws the erasures of every channel use; the channel's
-erasures do not depend on the packets, so no packet is encoded before a
-decoder reads it.  Each receiver then decodes with the blocks it knows
-(the decoder encodes, from the phase's blocks, just the packets it reads),
+makes them once; the XOR schemes compile one schedule per equality pattern
+of the demands and move it onto each demand's messages.  A trial draws a
+uniform library, gathers each phase's source blocks and draws the erasures
+of every channel use; the channel's erasures do not depend on the packets,
+so no packet is encoded before a decoder reads it.  Each receiver then
+decodes with the blocks it knows (the decoder encodes, over the phase's
+blocks less the ones the receiver knows, just the packets it reads),
 absorbs (un-XORs) what it decoded, and compares the demanded message bit
 for bit.  A receiver's bookkeeping works on a phase's spans, each a
 contiguous library range on contiguous rows of one gather column: a block
@@ -18,6 +20,9 @@ runs are all drawn first, then each phase is decoded at every run's
 receivers in one batched call before the next phase.  A block holds as many
 runs as fit in ``_BLOCK_BYTES`` (16 MiB) of run state
 (``_Delivery.run_bytes``); a run larger than that is a block of its own.
+A block derives the Philox keys of all the streams it draws in one pass and
+draws each by re-keying one generator it holds (``_seeding.block_streams``),
+which gives the values ``derived_rng`` gives for the same seed and tags.
 The error probability is estimated over the union of all feasible demands:
 trial j fails when any receiver fails for any demand, with run (demand
 index, j) seeded by (base seed, demand index, j) so results are
@@ -30,7 +35,6 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -69,7 +73,14 @@ from .schedule import (
     piggyback_grants,
     verify_schedule,
 )
-from ._seeding import seed_material
+from ._seeding import (
+    CHANNEL_STREAM,
+    CODEC_STREAM,
+    LIBRARY_STREAM,
+    block_streams,
+    check_seed,
+    seed_material,
+)
 
 __all__ = [
     "SCHEMES",
@@ -261,19 +272,20 @@ class _Delivery:
         K, L = self.cached.shape
         return (2 * K + 1) * L + sum(len(ph.gather) + K * ph.budget_uses for ph in phases)
 
-    def _send(self, phases: tuple[PhaseIndex, ...], base: list[int]):
-        """Draw a run's library and the erasures of all its channel uses.
-        Returns the flat library, each phase's (B, F) source blocks, the
-        erasures, and the channel uses of each phase (phase p owns
-        ``uses[p-1]:uses[p]``).  Nothing is encoded here: the decoder
-        encodes the packets it reads (``codec.encoder``)."""
+    def _send(self, phases: tuple[PhaseIndex, ...], streams):
+        """Draw a run's library and the erasures of all its channel uses
+        from its library and channel ``streams``.  Returns the flat library,
+        each phase's (B, F) source blocks, the erasures, and the channel
+        uses of each phase (phase p owns ``uses[p-1]:uses[p]``).  Nothing
+        is encoded here: the decoder encodes the packets it reads
+        (``codec.encoder``)."""
         cfg, F = self.cfg, self.cfg.F
-        library = flat_library(draw_library(cfg, base))
+        library = flat_library(draw_library(cfg, streams[0]))
         blocks = [gather_bits(library, phase.gather).reshape(-1, F) for phase in phases]
         uses = [0]
         for phase in phases:
             uses.append(uses[-1] + phase.budget_uses)
-        return library, blocks, erasures(uses[-1], cfg.deltas, base), uses
+        return library, blocks, erasures(uses[-1], cfg.deltas, streams[1]), uses
 
     def run(self, runs) -> list[list[bool]]:
         """Per-receiver success flags of each (phases, demand, seed) run.
@@ -282,10 +294,15 @@ class _Delivery:
         first; then phase by phase, phase p is decoded at receivers p..K of
         every run in one ``codec.decode_batch`` call and absorbed before
         phase p+1.  Receivers are independent, so each sees exactly what a
-        run on its own would give it."""
+        run on its own would give it.  The keys of every stream the block
+        draws (each run's library and channel streams and the codec stream
+        of each of its phases) are derived in one pass, and every draw
+        re-keys one generator that this call holds (``block_streams``)."""
         cfg, F = self.cfg, self.cfg.F
-        bases = [seed_material(seed) for _, _, seed in runs]
-        sent = [self._send(phases, base) for (phases, _, _), base in zip(runs, bases)]
+        tags = [(LIBRARY_STREAM,), (CHANNEL_STREAM,)]
+        tags += [(CODEC_STREAM, p) for p in range(1, cfg.K + 1)]
+        streams = block_streams([seed_material(seed) for _, _, seed in runs], tags)
+        sent = [self._send(phases, own) for (phases, _, _), own in zip(runs, streams)]
         known = [self.cached.copy() for _ in runs]  # row k-1: receiver k
         values = [library * mask for (library, *_), mask in zip(sent, known)]
         for p in range(1, cfg.K + 1):
@@ -300,7 +317,7 @@ class _Delivery:
                     _reception(phase, B, F, values[r][k - 1], known[r][k - 1], erased[k - 1, span])
                     for k in range(p, cfg.K + 1)
                 ]
-                groups.append((codec.encoder(blocks[p - 1]), B, p, bases[r], receptions))
+                groups.append((codec.encoder(blocks[p - 1]), B, p, streams[r][p + 1], receptions))
                 owners.append(r)
             for r, results in zip(owners, codec.decode_batch(groups)):
                 for k, result in enumerate(results, start=p):
@@ -332,13 +349,67 @@ def _reception(phase: PhaseIndex, B: int, F: int, values, known, erased) -> code
 
 def _subset_delivery(plan: SchemePlan) -> _Delivery:
     """The XOR schemes: subset caches, and K phases of XOR groups, plain
-    parts and piggyback slices per demand (``index_schedule``)."""
+    parts and piggyback slices per demand (``index_schedule``).
+
+    A schedule's structure depends only on which demand entries coincide
+    (``index_schedule`` tracks what was sent by (message, fragment)), every
+    message has the same length and the subset caches are the same for
+    every message.  So ``compile`` builds one schedule per equality
+    pattern, for the demand's first-appearance relabelling ((3, 1, 3, 4)
+    becomes (1, 2, 1, 3)), and moves it onto the demand's messages
+    (``_relabel``)."""
     cfg = plan.cfg_sim
     layout = sub_message_layout(cfg, plan.params.K0, plan.params.t, plan.layout_memory)
     grants, _ = piggyback_grants(cfg, plan.params, layout)
     offsets = tuple(layout.position(d, 0) for d in range(1, cfg.D + 2))
-    compile = partial(index_schedule, cfg, plan.params, layout, grants)
+    L = layout.message_bits
+    templates = {}  # pattern -> its phases, each with the labels _relabel reads
+
+    def compile(demand):
+        labels = {}  # message -> its label in the pattern
+        demand = validate_demand(demand, cfg.K, cfg.D)
+        pattern = tuple(labels.setdefault(d, len(labels) + 1) for d in demand)
+        if pattern not in templates:
+            phases = index_schedule(cfg, plan.params, layout, grants, pattern)
+            templates[pattern] = [_template(phase, L) for phase in phases]
+        message = {label: d for d, label in labels.items()}
+        # label l's library positions move by (message[l] - l) * L; PAD reads
+        # the last entry, 0
+        shift = np.array([(message[label] - label) * L for label in message] + [0])
+        return tuple(_relabel(template, message, shift) for template in templates[pattern])
+
     return _Delivery(cfg, build_caches(cfg, layout), offsets, compile)
+
+
+def _template(phase: PhaseIndex, L: int):
+    """``phase`` with label - 1 of each gather entry (-1 for ``PAD``) and of
+    each span, over ``L`` bits a message."""
+    span_labels = [c[0] - 1 for item in phase.items for c in item.constituents]
+    return phase, phase.gather // max(L, 1), span_labels
+
+
+def _relabel(template, message: dict[int, int], shift: np.ndarray) -> PhaseIndex:
+    """A ``_template`` phase moved onto the messages ``message[l]``: the
+    library positions of label l move by ``shift[l - 1]``, and the
+    constituents name the new messages."""
+    phase, at, span_labels = template
+    moves = shift.tolist()
+    spans = tuple(
+        (lo + moves[l], hi + moves[l], first, stop)
+        for (lo, hi, first, stop), l in zip(phase.spans, span_labels)
+    )
+    items = tuple(
+        ItemIndex(
+            item.kind,
+            tuple((message[c[0]],) + c[1:] for c in item.constituents),
+            item.known_to,
+            item.owner,
+            item.start,
+            item.stop,
+        )
+        for item in phase.items
+    )
+    return PhaseIndex(phase.receiver, phase.budget_uses, items, phase.gather + shift[at], spans)
 
 
 def _prefix_delivery(plan: SchemePlan) -> _Delivery:
@@ -412,8 +483,10 @@ def run_trial(cfg: SystemConfig, scheme: str, params, demand, seed) -> list[bool
     ``params`` is a SchemePlan (see plan_scheme), an explicit
     SchemeParameters (used verbatim at the config rates), or None for
     nominal-rate planning.  Returns per-receiver success flags; decode
-    failure is a result, never an exception.
+    failure is a result, never an exception.  ``seed`` is a non-negative
+    int or a sequence of them.
     """
+    seed_material(seed)  # a seed that cannot be simulated fails before planning
     if isinstance(params, SchemePlan):
         plan = params
     elif isinstance(params, SchemeParameters) and scheme != "common-demand":
@@ -537,9 +610,10 @@ def estimate_pe(
     ``demand_cap``; otherwise ``demand_cap`` tuples are sampled uniformly
     (with replacement) once per experiment.  Run (demand index di, trial j)
     is seeded by (seed, di, j); trial j fails when any receiver fails for
-    any demand in that trial.  Runs go single-threaded; ``threads`` accepts
-    only 1.
+    any demand in that trial.  ``seed`` is a non-negative int.  Runs go
+    single-threaded; ``threads`` accepts only 1.
     """
+    seed = check_seed(seed)
     for name, value in (("trials", trials), ("demand_cap", demand_cap)):
         if not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
@@ -630,6 +704,7 @@ def sweep(
     Out-of-regime points report R_analytical = NaN.  Simulation columns stay
     empty unless ``simulate`` is set.
     """
+    seed = check_seed(seed)
     if cfg.K != 2:
         raise ConfigError("sweep covers the two-receiver schemes; K must be 2")
     d1, d2, F, D = cfg.delta(1), cfg.delta(2), cfg.F, cfg.D

@@ -338,3 +338,14 @@ def test_simulate_rejects_decoder_rows_too_large_to_unpack(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "error: n=35000 gives phase 1 a decoder system of up to 35000 packets over 9450" in err
     assert peak < 64 << 20
+
+
+@pytest.mark.parametrize("verb", ["simulate", "region-sweep"])
+def test_negative_seed_exits_as_a_usage_error(capsys, sim_cfg, verb):
+    """A seed that cannot be simulated is a bad input (exit 2), not an
+    infeasible point (exit 1) or a traceback."""
+    extra = ["--scheme", "joint-2rx", "--trials", "1"] if verb == "simulate" else [
+        "--schemes", "joint-2rx", "--grid", "0.2:0.2:0.4", "--simulate", "--trials", "1"]
+    code, out, err = run(capsys, [verb, "--config", sim_cfg, "--seed", "-1"] + extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "seed" in err

@@ -257,13 +257,14 @@ def test_systems_of_different_widths_share_a_chunk(monkeypatch):
 def assert_decodes_match_reference(phases, results):
     """Each reception decodes as reference_solve does on all its packets,
     over its unknown columns only, with the known blocks' contribution
-    taken off the payloads."""
+    taken off the payloads (the source's payloads with no block known)."""
     outcomes = set()
     for (source, B, phase_id, seed, receptions), decoded in zip(phases, results):
         for rec, res in zip(receptions, decoded):
             A = codec.coefficient_rows(seed, phase_id, int(rec.indices[-1]) + 1, B)[rec.indices]
             known = A[:, rec.known].astype(np.int64) @ rec.values[rec.known] % 2
-            x, deficit = reference_solve(A[:, ~rec.known], source(A, rec.indices) ^ known)
+            payloads = source(A, rec.indices, np.zeros_like(rec.values))
+            x, deficit = reference_solve(A[:, ~rec.known], payloads ^ known)
             assert (res.ok, res.rank_deficit) == (x is not None, deficit)
             if res.ok:
                 assert np.array_equal(res.blocks[~rec.known], x)
@@ -368,7 +369,7 @@ def test_decode_batch_equals_single_decodes():
     dup = [j for j in range(400) if (A[j] == A[first]).all()]
     rest = [j for j in range(400) if A[j].any() and (A[j] != A[first]).any()]
     assert len(dup) >= 70
-    got = np.array(dup[:70] + rest[:1])
+    got = np.array(dup[:70] + [j for j in rest if j > dup[69]][:1])
     none = np.zeros(2, bool)
     phases.append((codec.encoder(b), 2, 0, 11,
                    [codec.Reception(got, none, np.zeros((2, 2), np.uint8))]))
@@ -445,25 +446,52 @@ def test_first_attempt_size_does_not_change_results(monkeypatch, seed):
     assert all(res.ok for res in by_extra[16][-1])  # the late packet was found
 
 
+def test_payload_sources_give_the_fused_right_hand_side(monkeypatch):
+    """A payload source takes the known blocks' contribution off in one
+    product: on random receptions, encoder(blocks) and decode_arrays' lookup
+    of the packets received both give
+    encode_payloads(...)[sel] ^ rows[:, known] @ values[known]."""
+    sources = []
+    monkeypatch.setattr(codec, "decode_batch", lambda phases: sources.append(phases[0][0]) or [[None]])
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        B, F = int(rng.integers(1, 70)), int(rng.choice([1, 8, 17]))
+        b = blocks_of(B, F=F, seed=trial)
+        count, seed = B + 40, [3, trial]
+        sel = np.sort(rng.choice(count, size=int(rng.integers(1, count)), replace=False))
+        rows = codec.coefficient_rows(seed, 2, count, B)[sel]
+        known = rng.random(B) < rng.choice([0.0, 0.4, 1.0])
+        values = np.where(known[:, None], b, 0).astype(np.uint8)
+        sent = codec.encode_payloads(b, count, 2, seed)
+        want = sent[sel] ^ (rows[:, known].astype(np.int64) @ values[known] % 2).astype(np.uint8)
+        assert np.array_equal(codec.encoder(b)(rows, sel, values), want)
+        by_block = {int(i): values[i] for i in np.flatnonzero(known)}
+        codec.decode_arrays(sel, sent[sel], B, 2, seed, by_block)
+        assert np.array_equal(sources[-1](rows, sel, values), want)
+
+
 def test_decoder_encodes_the_packets_encode_payloads_sends(monkeypatch):
     """Every payload row the decoder encodes, on first attempts and on a
     retry of a deficient system, is the row encode_payloads gives that packet,
-    from the same coefficient row."""
+    from the same coefficient row, less the reception's known blocks."""
     monkeypatch.setattr(codec, "_FIRST_ATTEMPT_EXTRA", 16)
     phases, reads = [], []
     for (source, B, phase_id, seed, receptions), blocks in zip(*random_phases(4)):
-        def recording(rows, sel, source=source, key=(B, phase_id, seed), blocks=blocks):
-            out = source(rows, sel)
-            reads.append((key, blocks, rows, sel, out))
+        def recording(rows, sel, known, source=source, key=(B, phase_id, seed), blocks=blocks):
+            out = source(rows, sel, known)
+            reads.append((key, blocks, rows, sel, known, out))
             return out
         phases.append((recording, B, phase_id, seed, receptions))
     codec.decode_batch(phases)
-    for (B, phase_id, seed), blocks, rows, sel, out in reads:
+    for (B, phase_id, seed), blocks, rows, sel, known, out in reads:
         count = int(sel[-1]) + 1
         assert np.array_equal(rows, codec.coefficient_rows(seed, phase_id, count, B)[sel])
-        assert np.array_equal(out, codec.encode_payloads(blocks, count, phase_id, seed)[sel])
-    # the late-packet phase: first attempts on u+16 packets, then a retry on all
-    late = [sel for key, _, _, sel, _ in reads if key == (2, 0, 11)]
-    everything = np.union1d(*(rec.indices for rec in phases[-1][4]))
-    assert len(late) == 2 and len(late[0]) == 18
-    assert np.array_equal(late[1], everything)
+        sent = codec.encode_payloads(blocks, count, phase_id, seed)[sel]
+        assert np.array_equal(out, sent ^ (rows.astype(np.int64) @ known % 2))
+    # the late-packet phase: each reception's first attempt on u+16 packets,
+    # then a retry on all of its packets
+    late = [sel for key, _, _, sel, _, _ in reads if key == (2, 0, 11)]
+    receptions = phases[-1][4]
+    assert len(late) == 4
+    assert all(np.array_equal(sel, rec.indices[:18]) for sel, rec in zip(late[:2], receptions))
+    assert all(np.array_equal(sel, rec.indices) for sel, rec in zip(late[2:], receptions))

@@ -338,19 +338,20 @@ def _general_k3():
 
 
 def test_one_random_stream_per_draw(monkeypatch):
-    """A run derives one library stream, one channel stream and one codec
-    stream per phase it decodes: encoder and decoder share each phase's
-    coefficient draw."""
+    """A run draws one library stream, one channel stream and one codec
+    stream per phase it decodes (encoder and decoder share each phase's
+    coefficient draw), each through its block's keys: every stream drawn
+    has the key derived_rng gives the same (seed, tags)."""
     from cachebc import _seeding, channel, codec, placement
 
-    derived = []
+    drawn = []
 
     def counting(seed, *tags):
-        derived.append(tags[0])
-        return _seeding.derived_rng(seed, *tags)
+        drawn.append((tags, seed))
+        return _seeding.stream_rng(seed, *tags)
 
     for module in (placement, channel, codec):
-        monkeypatch.setattr(module, "derived_rng", counting)
+        monkeypatch.setattr(module, "stream_rng", counting)
     solved = []  # phases with a reception that reaches the elimination
     decode = codec.decode_batch
 
@@ -364,15 +365,21 @@ def test_one_random_stream_per_draw(monkeypatch):
     cfg, plan = _general_k3()
     assert all(run_trial(cfg, "general", plan, (1, 2, 3), [5, 0, 0]))
     assert sum(solved) == 3
-    assert sorted(derived) == sorted(
+    assert sorted(tags[0] for tags, _ in drawn) == sorted(
         [_seeding.LIBRARY_STREAM, _seeding.CHANNEL_STREAM] + [_seeding.CODEC_STREAM] * 3
     )
+    for tags, stream in drawn:
+        assert isinstance(stream, _seeding.Stream)
+        key = _seeding.derived_rng([5, 0, 0], *tags).bit_generator.state["state"]["key"]
+        assert stream.key == key.tolist()
 
 
 def test_engine_encodes_what_encode_payloads_sends(monkeypatch):
     """Every packet the engine's decoder reads carries the payload that
     encode_payloads gives it over the phase's blocks, gathered here from the
-    run's library independently of the engine."""
+    run's library independently of the engine: the payload source returns
+    those payloads less the reception's known blocks, over the coefficient
+    rows coefficient_rows gives the packets."""
     from cachebc import codec
     from cachebc._seeding import seed_material
     from cachebc.placement import draw_library
@@ -386,22 +393,94 @@ def test_engine_encodes_what_encode_payloads_sends(monkeypatch):
 
     def recording(phases):
         wrapped = []
-        for payloads, B, phase_id, base, receptions in phases:
-            def source(rows, sel, payloads=payloads, key=(B, phase_id, base)):
-                out = payloads(rows, sel)
-                reads.append((key, sel, out))
+        for payloads, B, phase_id, stream, receptions in phases:
+            def source(rows, sel, known, payloads=payloads, key=(B, phase_id)):
+                out = payloads(rows, sel, known)
+                reads.append((key, rows, sel, known, out))
                 return out
-            wrapped.append((source, B, phase_id, base, receptions))
+            wrapped.append((source, B, phase_id, stream, receptions))
         return decode(wrapped)
 
     monkeypatch.setattr(codec, "decode_batch", recording)
     assert all(delivery.run([(compiled[demand], demand, seed)])[0])
     library = flat_library(draw_library(plan.cfg_sim, seed_material(seed)))
-    assert {key[1] for key, _, _ in reads} == {1, 2, 3}
-    for (B, p, base), sel, out in reads:
+    assert {key[1] for key, *_ in reads} == {1, 2, 3}
+    for (B, p), rows, sel, known, out in reads:
         blocks = gather_bits(library, compiled[demand][p - 1].gather).reshape(B, cfg.F)
-        sent = codec.encode_payloads(blocks, int(sel[-1]) + 1, p, base)
-        assert np.array_equal(out, sent[sel])
+        count = int(sel[-1]) + 1
+        assert np.array_equal(rows, codec.coefficient_rows(seed_material(seed), p, count, B)[sel])
+        sent = codec.encode_payloads(blocks, count, p, seed_material(seed))
+        assert np.array_equal(out, sent[sel] ^ (rows.astype(np.int64) @ known % 2))
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
+def test_seed_that_cannot_be_simulated_is_rejected_before_planning(monkeypatch, seed):
+    """estimate_pe, sweep and run_trial name ``seed`` in a ConfigError for a
+    negative, bool, float or str seed, before any planning; run_trial also
+    rejects a sequence holding one."""
+
+    def planning(*args, **kwargs):
+        raise AssertionError("planned before the seed was checked")
+
+    monkeypatch.setattr(simulate, "plan_scheme", planning)
+    cfg = cfg_joint()
+    with pytest.raises(ConfigError, match="seed"):
+        estimate_pe(cfg, "joint-2rx", trials=1, seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        sweep(cfg, ["joint-2rx"], [0.4], simulate=True, trials=1, seed=seed)
+    for bad in (seed, [3, seed, 0]):
+        with pytest.raises(ConfigError, match="seed"):
+            run_trial(cfg, "joint-2rx", None, (1, 2), bad)
+
+
+def _k4_general():
+    cfg = SystemConfig(
+        K=4, D=4, F=16, deltas=[0.8, 0.6, 0.4, 0.2], rates=[1.0] * 4,
+        memories=[0.5, 0.5, 0.5, 0.0], n=400,
+    )
+    return cfg, plan_scheme(cfg, "general", backoff=0.6)
+
+
+@pytest.mark.parametrize("which", ["criterion-5", "general-k3", "general-k4"])
+def test_pattern_compile_equals_index_schedule(monkeypatch, which):
+    """The engine compiles one schedule per equality pattern of the demand
+    and moves it onto the demand's messages: on every demand of the
+    criterion-5 joint-2rx config (16), the K=3 general config (27) and the
+    benchmark's K=4 general config (256), every field of every phase equals
+    index_schedule's for that demand."""
+    from itertools import product
+
+    from cachebc.placement import sub_message_layout
+    from cachebc.schedule import index_schedule, piggyback_grants
+
+    if which == "criterion-5":
+        cfg = cfg_joint(n=4000, F=16, D=4)
+        plan = plan_scheme(cfg, "joint-2rx", backoff=0.9)
+    else:
+        cfg, plan = _general_k3() if which == "general-k3" else _k4_general()
+    params = plan.params
+    layout = sub_message_layout(plan.cfg_sim, params.K0, params.t, plan.layout_memory)
+    grants, _ = piggyback_grants(plan.cfg_sim, params, layout)
+    compiles = []
+    monkeypatch.setattr(simulate, "index_schedule", lambda *a: compiles.append(a[-1]) or index_schedule(*a))
+    delivery = simulate._subset_delivery(plan)
+    demands = list(product(range(1, cfg.D + 1), repeat=cfg.K))
+    for demand in demands:
+        want = index_schedule(plan.cfg_sim, params, layout, grants, demand)
+        got = delivery.compile(demand)
+        assert len(got) == len(want) == cfg.K
+        for a, b in zip(got, want):
+            assert (a.receiver, a.budget_uses, a.items) == (b.receiver, b.budget_uses, b.items)
+            assert a.gather.dtype == b.gather.dtype and np.array_equal(a.gather, b.gather)
+            assert (a.spans, a.plain_start, a.item_spans) == (b.spans, b.plain_start, b.item_spans)
+    # one compile per pattern, on its first-appearance relabelling: as many
+    # as the Bell number of K, since D >= K
+    def pattern(demand):
+        labels = {}
+        return tuple(labels.setdefault(d, len(labels) + 1) for d in demand)
+
+    assert sorted(compiles) == sorted({pattern(d) for d in demands})
+    assert len(compiles) == {2: 2, 3: 5, 4: 15}[cfg.K]
 
 
 # -- span-level receiver bookkeeping --------------------------------------------
