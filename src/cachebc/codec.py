@@ -7,9 +7,9 @@ vector serves all F bit planes.  The decoder subtracts the contribution of
 blocks it already holds (cached bits, zero padding) and solves for the
 rest by bit-packed Gauss-Jordan elimination.  ``decode_batch`` decodes many
 receivers of many phases in one call and eliminates all their systems
-together with a batched Method of Four Russians; ``decode_arrays`` and
-``solve_gf2`` are the single-system forms of ``decode_batch`` and
-``solve_gf2_batch``.
+together with a batched Method of Four Russians.  ``decode_arrays`` decodes
+one receiver from the packets it received, on its own path, and
+``solve_gf2`` is the single-system form of ``solve_gf2_batch``.
 
 A system stays packed from the draw to the elimination.  The coefficient
 rows are drawn as packed bytes, bit i of byte g the coefficient of block
@@ -19,16 +19,15 @@ place as a zero column, which never pivots.  Its right-hand side is the
 payloads less the known blocks' contribution, packed to bytes that the
 kernel puts right after the columns.  Over GF(2),
 ``payloads ^ rows[:, known] @ values[known]`` is ``rows @ (blocks ^ known
-values)``, so the payload source gives it with one float32 BLAS product
-per system.
+values)``, one float32 BLAS product per system.
 
 The erasures do not depend on what a packet carries, so a packet need not
-exist before a decoder reads it: ``decode_batch`` draws a phase's
-coefficient rows once, up to the last packet its first attempts read, and
-each system encodes exactly the packets it reads from its own rows
-(``encoder``).  The first attempt reads the earliest u + 16 received
-packets; only a rank-deficient system with more packets is solved again on
-all of them.
+exist before a decoder reads it: ``decode_batch`` takes each phase's source
+blocks, draws the phase's coefficient rows once, up to the last packet its
+first attempts read, and each system encodes exactly the packets it reads
+from its own rows, by the encode rule of ``encode_payloads``.  The first
+attempt reads the first u + 16 packets a reception lists; only a
+rank-deficient system with more packets is solved again on all of them.
 
 Pure random coefficients need a little rank slack: u unknown blocks decode
 with probability >= 0.99 from u + 32 received packets.  The simulation
@@ -48,7 +47,6 @@ from ._seeding import CODEC_STREAM, stream_rng
 __all__ = [
     "DecodeResult",
     "coefficient_rows",
-    "encoder",
     "encode_payloads",
     "decode_arrays",
     "decode_batch",
@@ -98,21 +96,6 @@ def _gf2_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
-def _encode_rows(blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The encode rule: the payloads of the packets whose coefficient rows
-    are ``rows``, over the (B, F) source blocks."""
-    return _gf2_matmul(rows, blocks)
-
-
-def encoder(blocks):
-    """The payload source (see ``decode_batch``) of a phase whose (B, F)
-    source blocks are ``blocks``: it encodes the packets a decoder reads.
-    Encoding is linear, so the payloads less the known blocks'
-    contribution are one encode, over ``blocks ^ known``."""
-    blocks = np.asarray(blocks, dtype=np.uint8)
-    return lambda rows, sel, known: _encode_rows(blocks ^ known, rows)
-
-
 def encode_payloads(blocks, count: int, phase_id: int, seed) -> np.ndarray:
     """The (count, F) payload matrix of ``count`` coded packets over the
     (B, F) source blocks; row j is packet j."""
@@ -120,12 +103,12 @@ def encode_payloads(blocks, count: int, phase_id: int, seed) -> np.ndarray:
     B, F = blocks.shape if blocks.ndim == 2 else (0, 0)
     if B == 0:
         return np.zeros((count, blocks.shape[1] if blocks.ndim == 2 else 0), np.uint8)
-    return _encode_rows(blocks, coefficient_rows(seed, phase_id, count, B))
+    return _gf2_matmul(coefficient_rows(seed, phase_id, count, B), blocks)
 
 
 # -- batched bit-packed GF(2) elimination ------------------------------------
 
-_FIRST_ATTEMPT_EXTRA = 16  # the first solve uses the earliest u + 16 received packets
+_FIRST_ATTEMPT_EXTRA = 16  # the first solve uses the first u + 16 packets listed
 _KERNEL_WORDS = 1 << 18  # packed words one elimination pass holds (2 MiB)
 
 
@@ -295,7 +278,7 @@ def solve_gf2(rows: np.ndarray, rhs: np.ndarray):
 class Reception(NamedTuple):
     """What one receiver holds of one coded phase."""
 
-    indices: np.ndarray  # received packet indices, distinct, earliest first
+    indices: np.ndarray  # received packet indices, distinct
     known: np.ndarray  # (B,) bool: blocks the receiver already holds
     values: np.ndarray  # (B, F) bits; the rows of known blocks hold their values
 
@@ -305,19 +288,21 @@ def _systems(phase, todo) -> list:
     indices to use)] of one phase.  The phase's coefficient rows are drawn
     once, up to the last packet read, and each system is built from the
     rows of its own packets: the drawn coefficient bytes with its known
-    blocks' columns cleared, and the right-hand side from the payload
-    source, which takes the known blocks' contribution off."""
-    payloads, B, phase_id, seed, receptions = phase
+    blocks' columns cleared, and as right-hand side the payloads of those
+    packets less the known blocks' contribution, encoded in one product
+    over the source blocks XOR the known values."""
+    blocks, phase_id, seed, receptions = phase
     if not todo:
         return []
-    last = max(int(sel[-1]) for _, sel in todo)  # indices are earliest first
+    B = len(blocks)
+    last = max(int(sel.max()) for _, sel in todo)
     drawn = _coefficient_bytes(seed, phase_id, last + 1, B)[:, : (B + 7) // 8]
     out = []
     for ri, sel in todo:
         rec = receptions[ri]
         packed = drawn[sel]
         rows = np.unpackbits(packed, axis=1, count=B, bitorder="little")
-        rhs = payloads(rows, sel, rec.values * rec.known[:, None])
+        rhs = _gf2_matmul(rows, blocks ^ rec.values * rec.known[:, None])
         unknown = ~rec.known
         mask = np.packbits(unknown, bitorder="little")  # filler bits clear
         out.append((ri, _system(packed & mask, rhs, unknown.nonzero()[0])))
@@ -328,30 +313,26 @@ def decode_batch(phases) -> list:
     """Decode every reception of every coded phase in one batched
     elimination; returns one list of ``DecodeResult`` per phase.
 
-    ``phases`` holds (payloads, B, phase_id, seed, receptions) tuples: the
-    phase's payload source, its block count, its codec stream (seed
-    material, or the phase's ``Stream``) and a sequence of ``Reception``.
-    ``payloads(rows, sel, known)`` gives the (len(sel), F) right-hand side
-    of the packets ``sel`` (sorted, distinct), whose unpacked coefficient
-    rows are ``rows``: their payloads XOR ``rows @ known`` over GF(2), where
-    ``known`` is the (B, F) values of the reception's known blocks, zero on
-    the others.  ``encoder(blocks)`` encodes them over ``blocks ^ known``,
-    and ``decode_arrays`` looks the payloads up among the packets received.
-    A phase's coefficient rows are drawn once for its first attempts and
-    shared by encoder and decoder.
+    ``phases`` holds (blocks, phase_id, seed, receptions) tuples: the
+    phase's (B, F) source blocks, its codec stream (seed material, or the
+    phase's ``Stream``) and a sequence of ``Reception``.  A phase's
+    coefficient rows are drawn once for its first attempts, and each system
+    encodes the packets it reads over ``blocks`` as ``encode_payloads``
+    does, less the known blocks' contribution.
 
     The known blocks' contribution is thus taken off before solving.  With u
     unknown blocks and m received packets, u = 0 succeeds at once and m < u
-    fails without solving; otherwise the earliest u + 16 packets are solved
-    first, and only a rank-deficient system with more packets is solved
-    again on all of them.  The packets are consistent, so any full-rank
-    subset gives the unique solution and a final deficit is that of all m
-    packets: the results do not depend on the size of the first attempt.
+    fails without solving; otherwise the first u + 16 packets listed are
+    solved first, and only a rank-deficient system with more packets is
+    solved again on all of them.  The packets are consistent, so any
+    full-rank subset gives the unique solution and a final deficit is that
+    of all m packets: the results do not depend on the size of the first
+    attempt.
     """
-    results = [[None] * len(phase[4]) for phase in phases]
+    results = [[None] * len(phase[3]) for phase in phases]
     attempts = []  # (phase, reception, packed system)
     for gi, phase in enumerate(phases):
-        B, receptions = phase[1], phase[4]
+        B, receptions = len(phase[0]), phase[3]
         todo = []
         for ri, rec in enumerate(receptions):
             u, m = B - int(np.count_nonzero(rec.known)), len(rec.indices)
@@ -366,7 +347,7 @@ def decode_batch(phases) -> list:
         solved = _eliminate([system for _, _, system in attempts])
         retry = {}
         for (gi, ri, system), (x, deficit) in zip(attempts, solved):
-            rec = phases[gi][4][ri]
+            rec = phases[gi][3][ri]
             if x is None and not rerun and len(rec.indices) > len(system.coefs):
                 retry.setdefault(gi, []).append((ri, rec.indices))
             elif x is None:
@@ -388,7 +369,7 @@ def decode_arrays(
     indices, payloads, B: int, phase_id: int, seed, known: dict | None = None
 ) -> DecodeResult:
     """Decode one receiver from its received packet indices and the payload
-    rows received with them (``decode_batch`` with a single reception).
+    rows received with them, solving all its packets at once.
 
     ``known`` maps block index -> (F,) bit value; those columns are
     eliminated before solving.
@@ -404,8 +385,16 @@ def decode_arrays(
     for i, v in known.items():
         mask[i] = True
         values[i] = v
-    sent = np.zeros((int(indices.max()) + 1 if len(indices) else 0, F), dtype=np.uint8)
-    sent[indices] = payloads.reshape(len(indices), F)
-    reception = Reception(np.unique(indices), mask, values)  # distinct, earliest first
-    source = lambda rows, sel, known: sent[sel] ^ _gf2_matmul(rows, known)  # noqa: E731
-    return decode_batch([(source, B, phase_id, seed, [reception])])[0][0]
+    sel, first = np.unique(indices, return_index=True)
+    u, m = B - int(np.count_nonzero(mask)), len(sel)
+    if u == 0:
+        return DecodeResult(ok=True, blocks=values, rank_deficit=0)
+    if m < u:
+        return DecodeResult(ok=False, blocks=None, rank_deficit=u - m)
+    rows = coefficient_rows(seed, phase_id, int(sel[-1]) + 1, B)[sel]
+    rhs = payloads.reshape(len(indices), F)[first] ^ _gf2_matmul(rows, values)
+    x, deficit = solve_gf2(rows[:, ~mask], rhs)
+    if x is None:
+        return DecodeResult(ok=False, blocks=None, rank_deficit=deficit)
+    values[~mask] = x
+    return DecodeResult(ok=True, blocks=values, rank_deficit=0)

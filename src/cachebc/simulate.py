@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -277,8 +277,8 @@ class _Delivery:
         from its library and channel ``streams``.  Returns the flat library,
         each phase's (B, F) source blocks, the erasures, and the channel
         uses of each phase (phase p owns ``uses[p-1]:uses[p]``).  Nothing
-        is encoded here: the decoder encodes the packets it reads
-        (``codec.encoder``)."""
+        is encoded here: ``codec.decode_batch`` takes the source blocks and
+        encodes the packets it reads."""
         cfg, F = self.cfg, self.cfg.F
         library = flat_library(draw_library(cfg, streams[0]))
         blocks = [gather_bits(library, phase.gather).reshape(-1, F) for phase in phases]
@@ -317,7 +317,7 @@ class _Delivery:
                     _reception(phase, B, F, values[r][k - 1], known[r][k - 1], erased[k - 1, span])
                     for k in range(p, cfg.K + 1)
                 ]
-                groups.append((codec.encoder(blocks[p - 1]), B, p, streams[r][p + 1], receptions))
+                groups.append((blocks[p - 1], p, streams[r][p + 1], receptions))
                 owners.append(r)
             for r, results in zip(owners, codec.decode_batch(groups)):
                 for k, result in enumerate(results, start=p):
@@ -568,30 +568,7 @@ class SimulationReport:
         return worst / self.trials if self.trials else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "backoff": self.backoff,
-            "trials": self.trials,
-            "n": self.n,
-            "demand_mode": self.demand_mode,
-            "demands": [list(d) for d in self.demands],
-            "receiver_failures": [list(r) for r in self.receiver_failures],
-            "union_failures": self.union_failures,
-            "pe_hat": self.pe_hat,
-            "wilson_lo": self.wilson_lo,
-            "wilson_hi": self.wilson_hi,
-            "base_seed": self.base_seed,
-            "rates_nominal": list(self.rates_nominal),
-            "rates_sim": list(self.rates_sim),
-            "beta": list(self.beta) if self.beta is not None else None,
-            "piggyback": [list(r) for r in self.piggyback]
-            if self.piggyback is not None
-            else None,
-            "min_slack_bits": self.min_slack_bits,
-            "codec_slack_packets": self.codec_slack_packets,
-            "elapsed_s": self.elapsed_s,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def estimate_pe(

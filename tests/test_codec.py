@@ -219,7 +219,7 @@ def test_batched_kernel_at_a_word_boundary():
     assert_matches_reference(systems, codec.solve_gf2_batch(systems))
     b = blocks_of(63, F=1, seed=4)
     res = codec.decode_batch(
-        [(codec.encoder(b), 63, 1, 5,
+        [(b, 1, 5,
           [codec.Reception(np.arange(74), np.zeros(63, bool), np.zeros((63, 1), np.uint8))])]
     )
     assert res[0][0].ok and np.array_equal(res[0][0].blocks, b)
@@ -257,13 +257,14 @@ def test_systems_of_different_widths_share_a_chunk(monkeypatch):
 def assert_decodes_match_reference(phases, results):
     """Each reception decodes as reference_solve does on all its packets,
     over its unknown columns only, with the known blocks' contribution
-    taken off the payloads (the source's payloads with no block known)."""
+    taken off the payloads encode_payloads sends."""
     outcomes = set()
-    for (source, B, phase_id, seed, receptions), decoded in zip(phases, results):
+    for (blocks, phase_id, seed, receptions), decoded in zip(phases, results):
         for rec, res in zip(receptions, decoded):
-            A = codec.coefficient_rows(seed, phase_id, int(rec.indices[-1]) + 1, B)[rec.indices]
+            B, count = len(blocks), int(rec.indices.max()) + 1
+            A = codec.coefficient_rows(seed, phase_id, count, B)[rec.indices]
             known = A[:, rec.known].astype(np.int64) @ rec.values[rec.known] % 2
-            payloads = source(A, rec.indices, np.zeros_like(rec.values))
+            payloads = codec.encode_payloads(blocks, count, phase_id, seed)[rec.indices]
             x, deficit = reference_solve(A[:, ~rec.known], payloads ^ known)
             assert (res.ok, res.rank_deficit) == (x is not None, deficit)
             if res.ok:
@@ -287,7 +288,7 @@ def test_decode_batch_with_known_blocks_in_place(where):
     for extra in (0, 0, 1, 2, 20, 60):
         got = np.sort(rng.choice(3 * B, size=u + extra, replace=False))
         receptions.append(codec.Reception(got, known, np.where(known[:, None], b, 0)))
-    phases = [(codec.encoder(b), B, 3, [7, len(where)], receptions)]
+    phases = [(b, 3, [7, len(where)], receptions)]
     results = codec.decode_batch(phases)
     assert assert_decodes_match_reference(phases, results) == {True, False}
     assert all(np.array_equal(res.blocks, b) for res in results[0] if res.ok)
@@ -307,7 +308,7 @@ def test_decode_batch_over_phases_of_different_widths():
             extra = int(rng.integers(2, 24)) if share == 0.0 else 0  # u packets often fall short
             got = np.sort(rng.choice(2 * B + 40, size=u + extra, replace=False))
             receptions.append(codec.Reception(got, known, np.where(known[:, None], b, 0)))
-        phases.append((codec.encoder(b), B, phase_id, [5, phase_id], receptions))
+        phases.append((b, phase_id, [5, phase_id], receptions))
         truth.append(b)
     results = codec.decode_batch(phases)
     assert assert_decodes_match_reference(phases, results) == {True, False}
@@ -344,9 +345,10 @@ def test_batch_equals_per_system_solves_for_any_grouping(seed, shapes, groups):
 def test_decode_batch_equals_single_decodes():
     """One batched call over several phases gives every reception what
     decode_arrays gives it alone: no unknowns, too few packets, rank
-    deficits, the all-packets fallback and full decodes."""
+    deficits, the all-packets fallback and full decodes.  A reception's
+    indices need not be sorted: out of order, they decode as sorted."""
     rng = np.random.default_rng(5)
-    phases, truth, sent = [], [], []
+    phases, sent = [], []
     for phase_id in range(4):
         B = int(rng.integers(1, 40))
         b = blocks_of(B, F=8, seed=phase_id)
@@ -359,9 +361,14 @@ def test_decode_batch_equals_single_decodes():
             size = min(count, B - int(known.sum()) + extra)
             got = np.sort(rng.choice(count, size=max(size, 0), replace=False))
             receptions.append(codec.Reception(got, known, np.where(known[:, None], b, 0)))
-        phases.append((codec.encoder(b), B, phase_id, [9, phase_id], receptions))
-        truth.append(b)
+        phases.append((b, phase_id, [9, phase_id], receptions))
         sent.append(payloads)
+    # one phase received out of order, the last packet listed first, and sorted
+    b = blocks_of(4, F=8, seed=9)
+    none = np.zeros(4, bool)
+    for got in ([30, 2, 5, 7, 9, 11], [2, 5, 7, 9, 11, 30]):
+        phases.append((b, 4, 13, [codec.Reception(np.array(got), none, np.zeros((4, 8), np.uint8))]))
+        sent.append(codec.encode_payloads(b, 31, 4, 13))
     # the first u+16 packets repeat one coefficient row; a later one completes the rank
     b = blocks_of(2, F=2)
     A = codec.coefficient_rows(11, 0, 400, 2)
@@ -371,14 +378,15 @@ def test_decode_batch_equals_single_decodes():
     assert len(dup) >= 70
     got = np.array(dup[:70] + [j for j in rest if j > dup[69]][:1])
     none = np.zeros(2, bool)
-    phases.append((codec.encoder(b), 2, 0, 11,
-                   [codec.Reception(got, none, np.zeros((2, 2), np.uint8))]))
-    truth.append(b)
+    phases.append((b, 0, 11, [codec.Reception(got, none, np.zeros((2, 2), np.uint8))]))
     sent.append(codec.encode_payloads(b, 400, 0, 11))
     outcomes = set()
-    for (_, B, phase_id, seed, receptions), results, b, payloads in zip(
-        phases, codec.decode_batch(phases), truth, sent
-    ):
+    batched = codec.decode_batch(phases)
+    (shuffled,), (ordered,) = batched[-3:-1]
+    assert (shuffled.ok, shuffled.rank_deficit) == (ordered.ok, ordered.rank_deficit)
+    assert shuffled.ok and np.array_equal(shuffled.blocks, ordered.blocks)
+    for (b, phase_id, seed, receptions), results, payloads in zip(phases, batched, sent):
+        B = len(b)
         for rec, res in zip(receptions, results):
             known = {int(i): rec.values[i] for i in np.flatnonzero(rec.known)}
             one = codec.decode_arrays(rec.indices, payloads[rec.indices], B, phase_id, seed, known)
@@ -396,9 +404,9 @@ def random_phases(seed):
     """Phases of random receptions, decoded and encoded from source blocks:
     no unknowns, too few packets, rank deficits, full decodes, and the first
     u+16 (and u+64) received packets repeating one coefficient row while a
-    later one completes the rank.  Returns the phases and their blocks."""
+    later one completes the rank."""
     rng = np.random.default_rng(seed)
-    phases, truth = [], []
+    phases = []
     for phase_id in range(5):
         B = int(rng.integers(1, 50))
         b = blocks_of(B, F=int(rng.choice([1, 8, 17])), seed=seed + phase_id)
@@ -410,8 +418,7 @@ def random_phases(seed):
             size = min(count, B - int(known.sum()) + extra)
             got = np.sort(rng.choice(count, size=max(size, 0), replace=False))
             receptions.append(codec.Reception(got, known, np.where(known[:, None], b, 0)))
-        phases.append((codec.encoder(b), B, phase_id, [seed, phase_id], receptions))
-        truth.append(b)
+        phases.append((b, phase_id, [seed, phase_id], receptions))
     b = blocks_of(2, F=2)
     A = codec.coefficient_rows(11, 0, 400, 2)
     first = int(np.flatnonzero(A.any(axis=1))[0])
@@ -419,9 +426,8 @@ def random_phases(seed):
     rest = [j for j in range(400) if A[j].any() and (A[j] != A[first]).any()]
     late = [np.array(dup[:n] + [j for j in rest if j > dup[n - 1]][:1]) for n in (30, 70)]
     none = np.zeros(2, bool)
-    phases.append((codec.encoder(b), 2, 0, 11,
-                   [codec.Reception(sel, none, np.zeros((2, 2), np.uint8)) for sel in late]))
-    return phases, truth + [b]
+    phases.append((b, 0, 11, [codec.Reception(sel, none, np.zeros((2, 2), np.uint8)) for sel in late]))
+    return phases
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -429,69 +435,55 @@ def test_first_attempt_size_does_not_change_results(monkeypatch, seed):
     """The packets are consistent, so a first attempt on u+16 or u+64 of
     them gives the same decoded blocks and, on failure, the deficit of all
     of them."""
-    phases, _ = random_phases(seed)
+    phases = random_phases(seed)
     by_extra = {}
     for extra in (64, 16):
         monkeypatch.setattr(codec, "_FIRST_ATTEMPT_EXTRA", extra)
         by_extra[extra] = codec.decode_batch(phases)
     outcomes = set()
     for wide, narrow, phase in zip(by_extra[64], by_extra[16], phases):
-        for a, b, rec in zip(wide, narrow, phase[4]):
+        for a, b, rec in zip(wide, narrow, phase[3]):
             assert (a.ok, a.rank_deficit) == (b.ok, b.rank_deficit)
             assert (a.blocks is None and b.blocks is None) or np.array_equal(a.blocks, b.blocks)
-            u = phase[1] - int(rec.known.sum())
+            u = len(phase[0]) - int(rec.known.sum())
             outcomes.add("no unknowns" if u == 0 else "too few" if len(rec.indices) < u
                          else "decoded" if a.ok else "deficient")
     assert outcomes == {"no unknowns", "too few", "decoded", "deficient"}
     assert all(res.ok for res in by_extra[16][-1])  # the late packet was found
 
 
-def test_payload_sources_give_the_fused_right_hand_side(monkeypatch):
-    """A payload source takes the known blocks' contribution off in one
-    product: on random receptions, encoder(blocks) and decode_arrays' lookup
-    of the packets received both give
-    encode_payloads(...)[sel] ^ rows[:, known] @ values[known]."""
-    sources = []
-    monkeypatch.setattr(codec, "decode_batch", lambda phases: sources.append(phases[0][0]) or [[None]])
-    rng = np.random.default_rng(21)
-    for trial in range(30):
-        B, F = int(rng.integers(1, 70)), int(rng.choice([1, 8, 17]))
-        b = blocks_of(B, F=F, seed=trial)
-        count, seed = B + 40, [3, trial]
-        sel = np.sort(rng.choice(count, size=int(rng.integers(1, count)), replace=False))
-        rows = codec.coefficient_rows(seed, 2, count, B)[sel]
-        known = rng.random(B) < rng.choice([0.0, 0.4, 1.0])
-        values = np.where(known[:, None], b, 0).astype(np.uint8)
-        sent = codec.encode_payloads(b, count, 2, seed)
-        want = sent[sel] ^ (rows[:, known].astype(np.int64) @ values[known] % 2).astype(np.uint8)
-        assert np.array_equal(codec.encoder(b)(rows, sel, values), want)
-        by_block = {int(i): values[i] for i in np.flatnonzero(known)}
-        codec.decode_arrays(sel, sent[sel], B, 2, seed, by_block)
-        assert np.array_equal(sources[-1](rows, sel, values), want)
-
-
 def test_decoder_encodes_the_packets_encode_payloads_sends(monkeypatch):
-    """Every payload row the decoder encodes, on first attempts and on a
-    retry of a deficient system, is the row encode_payloads gives that packet,
-    from the same coefficient row, less the reception's known blocks."""
+    """Every system the decoder builds, on first attempts and on a retry of
+    a deficient system, holds the coefficient rows coefficient_rows gives
+    its packets, less the known blocks' columns, and as right-hand side the
+    rows encode_payloads gives those packets, less the known blocks'
+    contribution."""
     monkeypatch.setattr(codec, "_FIRST_ATTEMPT_EXTRA", 16)
-    phases, reads = [], []
-    for (source, B, phase_id, seed, receptions), blocks in zip(*random_phases(4)):
-        def recording(rows, sel, known, source=source, key=(B, phase_id, seed), blocks=blocks):
-            out = source(rows, sel, known)
-            reads.append((key, blocks, rows, sel, known, out))
-            return out
-        phases.append((recording, B, phase_id, seed, receptions))
+    reads, systems = [], codec._systems
+
+    def recording(phase, todo):
+        reads.append((phase, todo, systems(phase, todo)))
+        return reads[-1][2]
+
+    monkeypatch.setattr(codec, "_systems", recording)
+    phases = random_phases(4)
     codec.decode_batch(phases)
-    for (B, phase_id, seed), blocks, rows, sel, known, out in reads:
-        count = int(sel[-1]) + 1
-        assert np.array_equal(rows, codec.coefficient_rows(seed, phase_id, count, B)[sel])
-        sent = codec.encode_payloads(blocks, count, phase_id, seed)[sel]
-        assert np.array_equal(out, sent ^ (rows.astype(np.int64) @ known % 2))
+    pack = lambda bits: np.packbits(bits, axis=1, bitorder="little")  # noqa: E731
+    for (blocks, phase_id, seed, receptions), todo, built in reads:
+        B = len(blocks)
+        assert [ri for ri, _ in todo] == [ri for ri, _ in built]
+        for (ri, sel), (_, system) in zip(todo, built):
+            rec, count = receptions[ri], int(sel.max()) + 1
+            rows = codec.coefficient_rows(seed, phase_id, count, B)[sel]
+            sent = codec.encode_payloads(blocks, count, phase_id, seed)[sel]
+            rhs = sent ^ (rows.astype(np.int64) @ (rec.values * rec.known[:, None]) % 2)
+            assert np.array_equal(system.coefs, pack(rows * ~rec.known))
+            assert np.array_equal(system.rhs, pack(rhs.astype(np.uint8)))
+            assert np.array_equal(system.unknown, np.flatnonzero(~rec.known))
     # the late-packet phase: each reception's first attempt on u+16 packets,
     # then a retry on all of its packets
-    late = [sel for key, _, _, sel, _, _ in reads if key == (2, 0, 11)]
-    receptions = phases[-1][4]
+    late = [sel for phase, todo, _ in reads if phase is phases[-1] for _, sel in todo]
+    receptions = phases[-1][3]
     assert len(late) == 4
     assert all(np.array_equal(sel, rec.indices[:18]) for sel, rec in zip(late[:2], receptions))
     assert all(np.array_equal(sel, rec.indices) for sel, rec in zip(late[2:], receptions))

@@ -291,7 +291,7 @@ def test_partly_known_ranges_pin_decoder_calls(monkeypatch):
 
     def recording(phases):
         # phase p of a run is decoded at receivers p..K, in that order
-        for _, _, phase_id, _, receptions in phases:
+        for _, phase_id, _, receptions in phases:
             for k, rec in enumerate(receptions, start=phase_id):
                 known = np.flatnonzero(rec.known).tolist()
                 calls.append((k, [phase_id, known, len(rec.indices)]))
@@ -356,8 +356,8 @@ def test_one_random_stream_per_draw(monkeypatch):
     decode = codec.decode_batch
 
     def recording(phases):
-        for _, B, _, _, receptions in phases:
-            unknown = [B - int(rec.known.sum()) for rec in receptions]
+        for blocks, _, _, receptions in phases:
+            unknown = [len(blocks) - int(rec.known.sum()) for rec in receptions]
             solved.append(any(0 < u <= len(rec.indices) for u, rec in zip(unknown, receptions)))
         return decode(phases)
 
@@ -375,11 +375,10 @@ def test_one_random_stream_per_draw(monkeypatch):
 
 
 def test_engine_encodes_what_encode_payloads_sends(monkeypatch):
-    """Every packet the engine's decoder reads carries the payload that
-    encode_payloads gives it over the phase's blocks, gathered here from the
-    run's library independently of the engine: the payload source returns
-    those payloads less the reception's known blocks, over the coefficient
-    rows coefficient_rows gives the packets."""
+    """The engine hands the decoder each phase's source blocks, which
+    decode_batch encodes as encode_payloads does: the blocks of every phase
+    are those gathered here from the run's library, drawn independently of
+    the engine."""
     from cachebc import codec
     from cachebc._seeding import seed_material
     from cachebc.placement import draw_library
@@ -388,29 +387,20 @@ def test_engine_encodes_what_encode_payloads_sends(monkeypatch):
     cfg, plan = _general_k3()
     demand, seed = (2, 1, 3), [6, 0, 0]
     delivery, compiled = simulate._experiment(cfg, plan, [demand])
-    reads = []
+    handed = []
     decode = codec.decode_batch
 
     def recording(phases):
-        wrapped = []
-        for payloads, B, phase_id, stream, receptions in phases:
-            def source(rows, sel, known, payloads=payloads, key=(B, phase_id)):
-                out = payloads(rows, sel, known)
-                reads.append((key, rows, sel, known, out))
-                return out
-            wrapped.append((source, B, phase_id, stream, receptions))
-        return decode(wrapped)
+        handed.extend((phase_id, blocks) for blocks, phase_id, _, _ in phases)
+        return decode(phases)
 
     monkeypatch.setattr(codec, "decode_batch", recording)
     assert all(delivery.run([(compiled[demand], demand, seed)])[0])
     library = flat_library(draw_library(plan.cfg_sim, seed_material(seed)))
-    assert {key[1] for key, *_ in reads} == {1, 2, 3}
-    for (B, p), rows, sel, known, out in reads:
-        blocks = gather_bits(library, compiled[demand][p - 1].gather).reshape(B, cfg.F)
-        count = int(sel[-1]) + 1
-        assert np.array_equal(rows, codec.coefficient_rows(seed_material(seed), p, count, B)[sel])
-        sent = codec.encode_payloads(blocks, count, p, seed_material(seed))
-        assert np.array_equal(out, sent[sel] ^ (rows.astype(np.int64) @ known % 2))
+    assert sorted(p for p, _ in handed) == [1, 2, 3]
+    for p, blocks in handed:
+        gathered = gather_bits(library, compiled[demand][p - 1].gather).reshape(-1, cfg.F)
+        assert np.array_equal(blocks, gathered)
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.5, "7"])
