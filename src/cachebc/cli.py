@@ -55,8 +55,12 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+_MAX_GRID_POINTS = 100_000
+
+
 def _grid(text: str) -> list[float]:
-    """start:step:stop (stop inclusive up to float noise)."""
+    """start:step:stop (stop inclusive up to float noise), of at most
+    ``_MAX_GRID_POINTS`` points, counted before any is made."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:step:stop, got {text!r}")
@@ -65,6 +69,15 @@ def _grid(text: str) -> list[float]:
         raise ConfigError(f"grid must have a finite start, step and stop, got {text!r}")
     if step <= 0:
         raise ConfigError("grid step must be positive")
+    # adding a step of at least the float spacing always moves x, and the
+    # spacing between start and stop is widest at one of them
+    if step < math.ulp(max(abs(start), abs(stop))):
+        raise ConfigError(f"grid step is below the float spacing at its ends, got {text!r}")
+    count = math.floor((stop + 1e-12 - start) / step) + 1
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid has {count} points, above the bound of {_MAX_GRID_POINTS}, got {text!r}"
+        )
     out, x = [], start
     while x <= stop + 1e-12:
         out.append(round(x, 12))

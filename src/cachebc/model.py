@@ -25,6 +25,7 @@ __all__ = [
     "SchemeParameters",
     "validate_config",
     "validate_demand",
+    "check_count",
     "check_k0_t",
     "check_memory",
     "config_from_dict",
@@ -175,6 +176,13 @@ class SystemConfig:
         return r0
 
 
+def check_count(name: str, value) -> None:
+    """Raise ``ConfigError`` naming ``name`` unless ``value`` is a positive
+    integer, an ``int`` of at least 1 (a bool is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _check_entries(name: str, values) -> None:
     """Rates and cache sizes must be finite and nonnegative."""
     for v in values:
@@ -189,9 +197,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     nothing is silently normalized.
     """
     for name in ("K", "D", "F"):
-        v = getattr(cfg, name)
-        if not isinstance(v, int) or v < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        check_count(name, getattr(cfg, name))
     if len(cfg.deltas) != cfg.K:
         raise ConfigError(f"deltas must have K={cfg.K} entries, got {len(cfg.deltas)}")
     for d in cfg.deltas:
@@ -208,8 +214,8 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             f"memories must have K={cfg.K} entries, got {len(cfg.memories)}"
         )
     _check_entries("memories", cfg.memories)
-    if cfg.n is not None and (not isinstance(cfg.n, int) or cfg.n < 1):
-        raise ConfigError(f"n must be a positive integer when given, got {cfg.n!r}")
+    if cfg.n is not None:
+        check_count("n", cfg.n)
     cfg.demand_set.validate(cfg.K, cfg.D)
     return cfg
 

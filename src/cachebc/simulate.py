@@ -27,6 +27,21 @@ The error probability is estimated over the union of all feasible demands:
 trial j fails when any receiver fails for any demand, with run (demand
 index, j) seeded by (base seed, demand index, j) so results are
 bit-identical regardless of execution order or blocking.
+
+A receiver whose message is provably lost is not decoded further.  The
+library-free knowledge pass (``_outlook``) runs ``_reception``'s
+known-block rule and ``_absorb``'s rules on one receiver's cached mask,
+taking every phase it decodes as decoded.  It gives, per receiver k and
+phase q, the fewest unknown blocks k can have in q, and whether k's message
+is complete with q left out.  Receiver k is doomed when some phase q is lost
+to it, either in advance (it receives fewer packets of q than that fewest
+count) or in fact (its decode of q failed), and its message is incomplete
+without q.  The rule is exact: knowledge only grows (a cached bit, a plain
+item and an XOR group's one missing constituent each add bits, and an XOR
+group with more known constituents yields at least as much), so a
+receiver's real knowledge is always a subset of the pass's, and a doomed
+receiver really fails.  Receivers are independent and coefficient rows are
+drawn by index, so dropping one changes no other receiver's result.
 """
 
 from __future__ import annotations
@@ -42,7 +57,14 @@ from . import codec
 # transmit is not called here; it stays importable from this module, where
 # the benchmark's tracer (benchmarks/workloads.py) looks it up by name
 from .channel import erasures, transmit  # noqa: F401
-from .model import ConfigError, SchemeParameters, SystemConfig, config_to_dict, validate_demand
+from .model import (
+    ConfigError,
+    SchemeParameters,
+    SystemConfig,
+    check_count,
+    config_to_dict,
+    validate_demand,
+)
 from .placement import (
     MAX_HELD_BYTES,
     build_caches,
@@ -258,12 +280,15 @@ class _Delivery:
     it and ``compile(demand)`` gives a demand's phases.  An experiment makes
     these once.  Receiver k's knowledge is bit values and a known mask over
     the flat library, seeded from its cache and grown by phases 1..k.
+    ``outlook(demand)`` is the knowledge pass (``_outlook``) of a compiled
+    demand, made when a run first consults it.
     """
 
     cfg: SystemConfig
     cached: np.ndarray  # (K, library bits + 1)
     offsets: tuple[int, ...]
     compile: Callable[..., tuple[PhaseIndex, ...]]
+    outlook: Callable[..., tuple[np.ndarray, np.ndarray]]
 
     def run_bytes(self, phases: tuple[PhaseIndex, ...]) -> int:
         """The state ``run`` holds for one run over ``phases``: its library,
@@ -287,6 +312,38 @@ class _Delivery:
             uses.append(uses[-1] + phase.budget_uses)
         return library, blocks, erasures(uses[-1], cfg.deltas, streams[1]), uses
 
+    def _lookahead(self, phases, demand, blocks, erased, uses) -> list[bool]:
+        """Which receivers of one run are doomed before any decode: receiver
+        k, with two or more phases to decode, receives fewer packets of one
+        of them than the fewest unknown blocks it can have there, and its
+        message is incomplete without that phase (``_doomed``).  A phase is
+        only looked up in the pass when k receives fewer packets of it than
+        it has blocks, the pass's upper bound."""
+        K, P = self.cfg.K, len(phases)
+        sizes = [len(b) for b in blocks]
+        # the uses of each phase that each receiver misses; reduceat needs
+        # rising starts, so a phase without uses is left out of it
+        used = [q for q in range(P) if uses[q + 1] > uses[q]]
+        missed = np.zeros((K, P), dtype=np.int64)
+        if used:
+            starts = [uses[q] for q in used]
+            missed[:, used] = np.add.reduceat(erased.view(np.uint8), starts, axis=1, dtype=np.int64)
+        missed = missed.tolist()
+        doomed = [False] * K
+        outlook = None
+        for k in range(2, K + 1):
+            mine = [q for q in range(1, min(k, P) + 1) if sizes[q - 1]]
+            if len(mine) < 2:
+                continue  # a lone phase's short reception fails without a solve
+            for q in mine:
+                received = uses[q] - uses[q - 1] - missed[k - 1][q - 1]
+                if received < sizes[q - 1]:
+                    outlook = self.outlook(demand) if outlook is None else outlook
+                    if _doomed(outlook, k, q, received):
+                        doomed[k - 1] = True
+                        break
+        return doomed
+
     def run(self, runs) -> list[list[bool]]:
         """Per-receiver success flags of each (phases, demand, seed) run.
 
@@ -297,7 +354,17 @@ class _Delivery:
         run on its own would give it.  The keys of every stream the block
         draws (each run's library and channel streams and the codec stream
         of each of its phases) are derived in one pass, and every draw
-        re-keys one generator that this call holds (``block_streams``)."""
+        re-keys one generator that this call holds (``block_streams``).
+
+        A doomed receiver (``_doomed``) gets no further reception and no
+        decoder system, and its flag is False.  The erasures decide before
+        any decode which receivers are doomed in advance (``_lookahead``),
+        and a failed decode with a later phase left to decode dooms its
+        receiver when the message is incomplete without it.  This is exact:
+        a doomed receiver's real knowledge is a subset of what the
+        knowledge pass gives it with the lost phase left out, so it would
+        fail; and the other receivers' systems and coefficient rows, drawn
+        by packet index, do not change."""
         cfg, F = self.cfg, self.cfg.F
         tags = [(LIBRARY_STREAM,), (CHANNEL_STREAM,)]
         tags += [(CODEC_STREAM, p) for p in range(1, cfg.K + 1)]
@@ -305,46 +372,103 @@ class _Delivery:
         sent = [self._send(phases, own) for (phases, _, _), own in zip(runs, streams)]
         known = [self.cached.copy() for _ in runs]  # row k-1: receiver k
         values = [library * mask for (library, *_), mask in zip(sent, known)]
+        doomed = [
+            self._lookahead(phases, demand, blocks, erased, uses)
+            for (phases, demand, _), (_, blocks, erased, uses) in zip(runs, sent)
+        ]
         for p in range(1, cfg.K + 1):
             groups, owners = [], []
             for r, (phases, _, _) in enumerate(runs):
                 if p > len(phases) or len(phases[p - 1].gather) == 0:
+                    continue
+                live = [k for k in range(p, cfg.K + 1) if not doomed[r][k - 1]]
+                if not live:
                     continue
                 phase, (_, blocks, erased, uses) = phases[p - 1], sent[r]
                 B = len(blocks[p - 1])
                 span = slice(uses[p - 1], uses[p])
                 receptions = [
                     _reception(phase, B, F, values[r][k - 1], known[r][k - 1], erased[k - 1, span])
-                    for k in range(p, cfg.K + 1)
+                    for k in live
                 ]
                 groups.append((blocks[p - 1], p, streams[r][p + 1], receptions))
-                owners.append(r)
-            for r, results in zip(owners, codec.decode_batch(groups)):
-                for k, result in enumerate(results, start=p):
+                owners.append((r, live))
+            for (r, live), results in zip(owners, codec.decode_batch(groups)):
+                phases, demand, _ = runs[r]
+                for k, result in zip(live, results):
                     if result.ok:
                         decoded = result.blocks.reshape(-1)
-                        _absorb(runs[r][0][p - 1], decoded, values[r][k - 1], known[r][k - 1])
+                        _absorb(phases[p - 1], decoded, values[r][k - 1], known[r][k - 1])
+                    elif any(len(ph.gather) for ph in phases[p:k]):
+                        doomed[r][k - 1] = _doomed(self.outlook(demand), k, p)
         flags = []
-        for (_, demand, _), (library, *_), vals, kn in zip(runs, sent, values, known):
+        for (_, demand, _), (library, *_), vals, kn, lost in zip(runs, sent, values, known, doomed):
             msgs = [slice(self.offsets[d - 1], self.offsets[d]) for d in demand]
             flags.append([
-                bool(kn[k, m].all()) and np.array_equal(vals[k, m], library[m])
+                not lost[k] and bool(kn[k, m].all()) and np.array_equal(vals[k, m], library[m])
                 for k, m in enumerate(msgs)
             ])
         return flags
 
 
-def _reception(phase: PhaseIndex, B: int, F: int, values, known, erased) -> codec.Reception:
-    """What a receiver hands the decoder for one phase: the packets it got,
-    and the blocks whose every constituent span it knows, with their values.
-    A span not wholly known marks the blocks its rows touch as unknown."""
-    known_blocks = np.ones(B, dtype=bool)
+def _doomed(outlook, k: int, q: int, received: int | None = None) -> bool:
+    """Whether receiver k's message is provably lost through phase q, by the
+    knowledge pass ``outlook`` (``_outlook``): phase q is lost to k, because
+    k receives fewer packets of it (``received``) than the fewest unknown
+    blocks it can have there, or because its decode failed (``received``
+    None); and k's message stays incomplete even if every other phase
+    decodes."""
+    unknown, spare = outlook
+    lost = received is None or received < unknown[k - 1, q - 1]
+    return bool(lost and not spare[k - 1, q - 1])
+
+
+def _outlook(cached: np.ndarray, phases, demand, offsets, F: int):
+    """The library-free knowledge pass of one demand's ``phases``: each
+    receiver's cached mask through ``_known_blocks`` and ``_absorb``, taking
+    every phase it decodes as decoded.  Returns (unknown, spare), two (K,
+    phases) arrays: ``unknown[k-1, q-1]`` is the number of unknown blocks
+    receiver k hands the decoder in phase q when its phases before q all
+    decoded, the fewest it can have there since knowledge only grows;
+    ``spare[k-1, q-1]`` is whether k's message is complete with phase q
+    left out and every other phase decoded."""
+    K, P = len(cached), len(phases)
+    unknown = np.zeros((K, P), dtype=np.int64)
+    spare = np.zeros((K, P), dtype=bool)
+    # _absorb moves bit values too; all-zero decoded bits keep these zero
+    values = np.zeros(cached.shape[1], dtype=np.uint8)
+    decoded = np.zeros(max((len(phase.gather) for phase in phases), default=0), dtype=np.uint8)
+    for k in range(1, K + 1):
+        message = slice(offsets[demand[k - 1] - 1], offsets[demand[k - 1]])
+        mine = [(q, phase) for q, phase in enumerate(phases[:k], start=1) if len(phase.gather)]
+        known = cached[k - 1].copy()  # k's knowledge after the phases before q
+        for i, (q, phase) in enumerate(mine):
+            unknown[k - 1, q - 1] = np.count_nonzero(~_known_blocks(phase, F, known))
+            without = known.copy()
+            for _, later in mine[i + 1 :]:
+                _absorb(later, decoded[: len(later.gather)], values, without)
+            spare[k - 1, q - 1] = without[message].all()
+            _absorb(phase, decoded[: len(phase.gather)], values, known)
+    return unknown, spare
+
+
+def _known_blocks(phase: PhaseIndex, F: int, known) -> np.ndarray:
+    """The blocks of ``phase`` whose every constituent span the known mask
+    ``known`` covers: a span not wholly known marks the blocks its rows
+    touch as unknown."""
+    known_blocks = np.ones(len(phase.gather) // F, dtype=bool)
     mask = known.tobytes()  # a span is wholly known when it holds no zero byte
     for lo, hi, first, stop in phase.spans:
         if mask.find(0, lo, hi) >= 0:
             known_blocks[first // F : -(-stop // F)] = False
+    return known_blocks
+
+
+def _reception(phase: PhaseIndex, B: int, F: int, values, known, erased) -> codec.Reception:
+    """What a receiver hands the decoder for one phase: the packets it got,
+    and the blocks it knows (``_known_blocks``), with their values."""
     vals_blocks = gather_bits(values, phase.gather).reshape(B, F)
-    return codec.Reception((~erased).nonzero()[0], known_blocks, vals_blocks)
+    return codec.Reception((~erased).nonzero()[0], _known_blocks(phase, F, known), vals_blocks)
 
 
 def _subset_delivery(plan: SchemePlan) -> _Delivery:
@@ -357,28 +481,42 @@ def _subset_delivery(plan: SchemePlan) -> _Delivery:
     every message.  So ``compile`` builds one schedule per equality
     pattern, for the demand's first-appearance relabelling ((3, 1, 3, 4)
     becomes (1, 2, 1, 3)), and moves it onto the demand's messages
-    (``_relabel``)."""
+    (``_relabel``).  The knowledge pass of a demand is that of its
+    pattern's template, made the first time a run consults it, and held
+    next to the template: the pattern is enough for it too."""
     cfg = plan.cfg_sim
     layout = sub_message_layout(cfg, plan.params.K0, plan.params.t, plan.layout_memory)
     grants, _ = piggyback_grants(cfg, plan.params, layout)
     offsets = tuple(layout.position(d, 0) for d in range(1, cfg.D + 2))
     L = layout.message_bits
+    cached = build_caches(cfg, layout)
     templates = {}  # pattern -> its phases, each with the labels _relabel reads
+    outlooks = {}  # pattern -> the knowledge pass of its template
 
-    def compile(demand):
+    def template(demand):
+        """The demand's pattern, its labels and the pattern's template."""
         labels = {}  # message -> its label in the pattern
-        demand = validate_demand(demand, cfg.K, cfg.D)
         pattern = tuple(labels.setdefault(d, len(labels) + 1) for d in demand)
         if pattern not in templates:
             phases = index_schedule(cfg, plan.params, layout, grants, pattern)
             templates[pattern] = [_template(phase, L) for phase in phases]
+        return pattern, labels, templates[pattern]
+
+    def compile(demand):
+        _, labels, phases = template(validate_demand(demand, cfg.K, cfg.D))
         message = {label: d for d, label in labels.items()}
         # label l's library positions move by (message[l] - l) * L; PAD reads
         # the last entry, 0
         shift = np.array([(message[label] - label) * L for label in message] + [0])
-        return tuple(_relabel(template, message, shift) for template in templates[pattern])
+        return tuple(_relabel(phase, message, shift) for phase in phases)
 
-    return _Delivery(cfg, build_caches(cfg, layout), offsets, compile)
+    def outlook(demand):
+        pattern, _, phases = template(demand)
+        if pattern not in outlooks:
+            outlooks[pattern] = _outlook(cached, [ph for ph, _, _ in phases], pattern, offsets, cfg.F)
+        return outlooks[pattern]
+
+    return _Delivery(cfg, cached, offsets, compile, outlook)
 
 
 def _template(phase: PhaseIndex, L: int):
@@ -435,7 +573,10 @@ def _prefix_delivery(plan: SchemePlan) -> _Delivery:
         item = ItemIndex("uncached-part", consts, frozenset(), None, 0, len(gather))
         return (PhaseIndex(1, n, (item,), gather, spans),)
 
-    return _Delivery(cfg, build_prefix_caches(cfg, plan.allocation), offsets, compile)
+    cached = build_prefix_caches(cfg, plan.allocation)
+    return _Delivery(
+        cfg, cached, offsets, compile, lambda demand: _outlook(cached, compile(demand), demand, offsets, F)
+    )
 
 
 def _absorb(phase: PhaseIndex, decoded: np.ndarray, values: np.ndarray, known: np.ndarray):
@@ -591,9 +732,8 @@ def estimate_pe(
     single-threaded; ``threads`` accepts only 1.
     """
     seed = check_seed(seed)
-    for name, value in (("trials", trials), ("demand_cap", demand_cap)):
-        if not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    check_count("trials", trials)
+    check_count("demand_cap", demand_cap)
     if threads != 1:
         raise ConfigError(f"threads must be 1 (runs are single-threaded), got {threads!r}")
     t0 = time.perf_counter()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -227,6 +228,21 @@ def test_region_sweep_rejects_non_finite_grid(capsys, sweep_cfg, grid):
     code, out, err = run(capsys, ["region-sweep", "--config", sweep_cfg, f"--grid={grid}"])
     assert code == 2 and out == ""
     assert "error: grid must" in err
+
+
+@pytest.mark.parametrize("grid", ["1e16:1:2e16", "0:1e-9:1"])
+def test_region_sweep_rejects_a_grid_it_cannot_bound(capsys, sweep_cfg, grid):
+    # the first never advanced (1e16 + 1 == 1e16) while its list grew, the
+    # second built 10^9 points; both are rejected before any point is made
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["region-sweep", "--config", sweep_cfg, f"--grid={grid}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "error: grid" in err and repr(grid) in err
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("scheme", ["common", "common-separate", "degraded"])

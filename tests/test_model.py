@@ -48,6 +48,11 @@ def test_noiseless_boundary_accepted():
         ("n", 0, "n"),
         ("rates", [1.0, float("inf"), 1.0], "rates"),
         ("memories", [float("inf"), 0.0], "memories"),
+        # a bool is not a count; the messages name the field that fails
+        ("K", True, "K must"),
+        ("D", True, "D must"),
+        ("F", True, "F must"),
+        ("n", True, "n must"),
     ],
 )
 def test_each_violation_names_the_field(field, value, msg):

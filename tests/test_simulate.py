@@ -236,17 +236,19 @@ def test_audit_reports_divergence_and_verifies():
 
 
 def test_demand_cap_below_one_rejected():
-    # a cap below one used to run no demand and report pe_hat 0.0
+    # a cap below one used to run no demand and report pe_hat 0.0, and True
+    # ran one sampled demand
     cfg = cfg_joint(n=200)
-    for bad in (0, -3, 1.5):
+    for bad in (0, -3, 1.5, True):
         with pytest.raises(ConfigError, match="demand_cap"):
             estimate_pe(cfg, "joint-2rx", trials=1, demand_cap=bad)
 
 
 def test_trials_not_a_positive_integer_rejected():
-    # a fractional count used to fail with a TypeError from range()
+    # a fractional count used to fail with a TypeError from range(), and
+    # True ran one trial and reported "trials": true
     cfg = cfg_joint(n=200)
-    for bad in (0, -1, 1.5):
+    for bad in (0, -1, 1.5, True):
         with pytest.raises(ConfigError, match="trials"):
             estimate_pe(cfg, "joint-2rx", trials=bad)
 
@@ -270,22 +272,31 @@ def test_bad_worker_counts_rejected(monkeypatch):
         assert report() == plain
 
 
-def test_partly_known_ranges_pin_decoder_calls(monkeypatch):
-    """A constituent range counts as known only when all its bits are: with
-    t=2 and a repeated demand, receivers decode some ranges in part, and the
-    known blocks handed to the decoder must follow the range rule."""
-    import hashlib
-
-    from cachebc import SchemeParameters, codec
+def _k5_t2(rate=0.6):
+    """The K=5, t=2 config of the decoder-call digest test, whose repeated
+    demands decode constituent ranges in part."""
+    from cachebc import SchemeParameters
 
     cfg = SystemConfig(
-        K=5, D=2, F=8, deltas=[0.3, 0.25, 0.2, 0.1, 0.05], rates=[0.6] * 2,
+        K=5, D=2, F=8, deltas=[0.3, 0.25, 0.2, 0.1, 0.05], rates=[rate] * 2,
         memories=[0.6, 0.6, 0.6, 0.0, 0.0], n=1200,
     )
     params = SchemeParameters(
         K0=3, t=2, beta=(0.3, 0.3, 0.2, 0.1, 0.1),
         piggyback=((0.05, 0.02), (0.03, 0.06), (0.02, 0.01)),
     )
+    return cfg, simulate._plan_from_parameters(cfg, "general", params)
+
+
+def test_partly_known_ranges_pin_decoder_calls(monkeypatch):
+    """A constituent range counts as known only when all its bits are: with
+    t=2 and a repeated demand, receivers decode some ranges in part, and the
+    known blocks handed to the decoder must follow the range rule."""
+    import hashlib
+
+    from cachebc import codec
+
+    cfg, plan = _k5_t2()
     calls = []
     decode = codec.decode_batch
 
@@ -298,7 +309,7 @@ def test_partly_known_ranges_pin_decoder_calls(monkeypatch):
         return decode(phases)
 
     monkeypatch.setattr(codec, "decode_batch", recording)
-    assert all(run_trial(cfg, "general", params, (1, 1, 1, 1, 1), [1, 0, 0]))
+    assert all(run_trial(cfg, "general", plan, (1, 1, 1, 1, 1), [1, 0, 0]))
     # run-major order: receiver by receiver, each through its phases
     calls = [call for _, call in sorted(calls, key=lambda c: (c[0], c[1][0]))]
     digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
@@ -513,20 +524,10 @@ def _bookkeeping_phases():
     """(cached masks, F, phase) for every compiled phase of a few demands of
     each scheme, with repeated demands so that XOR groups share constituents
     and t = 2 so that ranges are decoded in part."""
-    from cachebc import SchemeParameters
-
     c2 = dict(K=2, D=2, F=8, deltas=[0.8, 0.2], rates=[1.0] * 2, n=600)
     k4 = SystemConfig(
         K=4, D=4, F=16, deltas=[0.8, 0.6, 0.4, 0.2], rates=[1.0] * 4,
         memories=[0.5, 0.5, 0.5, 0.0], n=400,
-    )
-    k5 = SystemConfig(
-        K=5, D=2, F=8, deltas=[0.3, 0.25, 0.2, 0.1, 0.05], rates=[0.6] * 2,
-        memories=[0.6, 0.6, 0.6, 0.0, 0.0], n=1200,
-    )
-    k5_params = SchemeParameters(
-        K0=3, t=2, beta=(0.3, 0.3, 0.2, 0.1, 0.1),
-        piggyback=((0.05, 0.02), (0.03, 0.06), (0.02, 0.01)),
     )
     common = SystemConfig(
         K=2, D=2, F=4, deltas=[0.8, 0.2], rates=[0.3, 0.15], memories=[0.1, 0.0], n=400,
@@ -537,7 +538,7 @@ def _bookkeeping_phases():
         (SystemConfig(**c2, memories=[0.8, 0.0]), "separate-asym-2rx", [(1, 2), (1, 1)]),
         (SystemConfig(**c2, memories=[0.8, 0.0]), "joint-2rx", [(2, 1), (2, 2)]),
         (k4, "general", [(1, 2, 3, 4), (1, 1, 1, 2), (2, 2, 3, 3)]),  # t = 1
-        (k5, simulate._plan_from_parameters(k5, "general", k5_params), [(1, 1, 1, 1, 1), (1, 2, 1, 2, 2)]),
+        (*_k5_t2(), [(1, 1, 1, 1, 1), (1, 2, 1, 2, 2)]),
         (common, "common-demand", [(1, 1), (2, 2)]),
     ]
     out = []
@@ -638,3 +639,184 @@ def test_block_size_does_not_change_the_report(monkeypatch):
         reports.append(report)
     assert sizes == [1] * 10 + [3, 3, 3, 1] + [10]
     assert reports[0] == reports[1] == reports[2]
+
+
+# -- doomed receivers and the knowledge pass ------------------------------------
+
+
+def _report(cfg, scheme, plan, trials):
+    report = estimate_pe(cfg, scheme, plan, trials=trials, seed=7).to_dict()
+    del report["elapsed_s"]
+    return report
+
+
+@pytest.mark.parametrize(
+    "which,backoff,dooms",
+    [
+        ("criterion-5", 0.98, True),
+        ("criterion-5", 1.0, True),
+        ("criterion-5", 1.02, True),
+        ("criterion-5", 1.1, True),
+        ("general-k4", 0.6, False),
+        ("general-k4", 0.85, True),
+        ("general-k4", 1.2, True),
+        ("k5-t2", 0.6, False),
+        ("k5-t2", 0.9, True),
+    ],
+)
+def test_doom_check_does_not_change_the_report(monkeypatch, which, backoff, dooms):
+    """A doomed receiver is decoded no further and its flag is False; with
+    the doom check switched off every receiver decodes every phase, and the
+    report is the same.  (For the K=5 case the number is the message rate.)"""
+    if which == "criterion-5":
+        cfg, scheme = cfg_joint(n=4000, F=16, D=4), "joint-2rx"
+        plan = plan_scheme(cfg, scheme, backoff=backoff)
+    elif which == "general-k4":
+        (cfg, _), scheme = _k4_general(), "general"
+        plan = plan_scheme(cfg, scheme, backoff=backoff)
+    else:
+        (cfg, plan), scheme = _k5_t2(backoff), "general"
+    trials = 3 if which == "criterion-5" else 2
+    check = simulate._doomed
+    doomed = []
+    monkeypatch.setattr(simulate, "_doomed", lambda *a: doomed.append(check(*a)) or doomed[-1])
+    on = _report(cfg, scheme, plan, trials)
+    assert any(doomed) == dooms
+    monkeypatch.setattr(simulate, "_doomed", lambda *a: False)
+    assert _report(cfg, scheme, plan, trials) == on
+
+
+def test_doomed_receiver_skips_its_phase_one_elimination(monkeypatch):
+    """Criterion 5 at 110%, on the benchmark's recorded seed: receiver 2
+    receives fewer packets of phase 2 than it has unknown blocks there in 12
+    of the 16 runs, so it fails them; its phase-1 system then no longer
+    reaches the elimination, and the report does not change."""
+    from cachebc import codec
+
+    cfg = cfg_joint(n=4000, F=16, D=4)
+    plan = plan_scheme(cfg, "joint-2rx", backoff=1.1)
+    seed = 20250809 * 10_000  # the call whose digest the benchmark records
+    systems, eliminate, decode = codec._systems, codec._eliminate, codec.decode_batch
+
+    def count():
+        made, reached, short = {}, [], []
+
+        def building(phase, todo):
+            out = systems(phase, todo)
+            made.update((id(system), (phase[1], ri)) for ri, system in out)
+            return out
+
+        def eliminating(batch):
+            reached.extend(made[id(system)] for system in batch)
+            return eliminate(batch)
+
+        def decoding(phases):
+            for blocks, p, _, receptions in phases:
+                unknown = [len(blocks) - int(rec.known.sum()) for rec in receptions]
+                short.extend(p == 2 and len(rec.indices) < u for rec, u in zip(receptions, unknown))
+            return decode(phases)
+
+        monkeypatch.setattr(codec, "_systems", building)
+        monkeypatch.setattr(codec, "_eliminate", eliminating)
+        monkeypatch.setattr(codec, "decode_batch", decoding)
+        report = estimate_pe(cfg, "joint-2rx", plan, trials=1, seed=seed).to_dict()
+        del report["elapsed_s"]
+        # receiver 1 decodes phase 1 alone, so it is never doomed and is
+        # reception 0 of every phase-1 group; receiver 2 is reception 1
+        return report, reached.count((1, 1)), sum(short)
+
+    on, rx2_on, _ = count()
+    monkeypatch.setattr(simulate, "_doomed", lambda *a: False)
+    off, rx2_off, lost = count()
+    assert on == off
+    assert (rx2_off, lost, rx2_on) == (16, 12, 4)
+
+
+def _check_pass_against_run(cfg, plan, demands, seeds) -> int:
+    """Run each (demand, seed) alone with the doom check off, so every
+    receiver decodes every phase, and compare with the demand's knowledge
+    pass: a receiver whose earlier phases all decoded hands the decoder
+    exactly the pass's unknown count, and a receiver delivered its message
+    after a failed decode only where the pass says the message is complete
+    without that phase.  Returns the number of unknown counts compared."""
+    from cachebc import codec
+
+    calls = []
+    decode = codec.decode_batch
+
+    def recording(phases):
+        results = decode(phases)
+        for (blocks, p, _, receptions), got in zip(phases, results):
+            unknown = [len(blocks) - int(rec.known.sum()) for rec in receptions]
+            calls.append((p, unknown, [result.ok for result in got]))
+        return results
+
+    compared = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_doomed", lambda *a: False)
+        mp.setattr(codec, "decode_batch", recording)
+        delivery, compiled = simulate._experiment(cfg, plan, demands)
+        for demand in dict.fromkeys(demands):
+            unknown, spare = delivery.outlook(demand)
+            for seed in seeds:
+                calls.clear()
+                flags = delivery.run([(compiled[demand], demand, seed)])[0]
+                decoded = [True] * cfg.K  # receiver k's phases so far all decoded
+                for p, us, oks in calls:  # one run: phase p at receivers p..K
+                    for k, u, ok in zip(range(p, cfg.K + 1), us, oks):
+                        if decoded[k - 1]:
+                            assert u == unknown[k - 1, p - 1], (demand, seed, k, p)
+                            compared += 1
+                        decoded[k - 1] &= ok
+                        assert ok or not flags[k - 1] or spare[k - 1, p - 1]
+    return compared
+
+
+@st.composite
+def _general_configs(draw):
+    K = draw(st.integers(2, 5))
+    K0 = draw(st.integers(1, K))
+    deltas = sorted(draw(st.lists(st.floats(0.05, 0.85), min_size=K, max_size=K)), reverse=True)
+    D = draw(st.integers(1, 3))
+    M = draw(st.floats(0.1, 0.8)) * D
+    cfg = SystemConfig(
+        K=K, D=D, F=draw(st.sampled_from([4, 8])), deltas=deltas, rates=[1.0] * D,
+        memories=[M] * K0 + [0.0] * (K - K0), n=draw(st.integers(100, 500)),
+    )
+    demands = draw(st.lists(st.tuples(*[st.integers(1, D)] * K), min_size=1, max_size=3))
+    return cfg, draw(st.floats(0.6, 1.3)), demands
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_general_configs(), seed=st.integers(0, 2**32 - 1))
+def test_knowledge_pass_matches_run_on_random_general_configs(case, seed):
+    """The knowledge pass's unknown counts are the ones run hands the decoder,
+    on random K <= 5 general configs with small n."""
+    from hypothesis import assume
+
+    from cachebc import OutOfRegimeError
+    from cachebc.placement import CapacityError
+
+    cfg, backoff, demands = case
+    try:
+        plan = plan_scheme(cfg, "general", backoff=backoff)
+    except (ConfigError, OutOfRegimeError, CapacityError):
+        assume(False)
+    _check_pass_against_run(cfg, plan, demands, [[seed, 0], [seed, 1]])
+
+
+@pytest.mark.parametrize("case", ["k5-t2-0.6", "k5-t2-0.9", "common-demand"])
+def test_knowledge_pass_matches_run_on_fixed_cases(case):
+    """The decoder-call digest test's K=5 case, where t=2 and a repeated
+    demand leave constituent ranges decoded in part, below and above its
+    rate; and the common-demand scheme's prefix caches."""
+    if case == "common-demand":
+        cfg = SystemConfig(
+            K=2, D=2, F=4, deltas=[0.8, 0.2], rates=[0.3, 0.15], memories=[0.1, 0.0], n=400,
+            demand_set=DemandSet(kind="common"),
+        )
+        plan, demands = plan_scheme(cfg, case, backoff=0.9), [(1, 1), (2, 2)]
+    else:
+        cfg, plan = _k5_t2(float(case.rsplit("-", 1)[1]))
+        demands = [(1, 1, 1, 1, 1), (1, 2, 1, 2, 2), (2, 1, 1, 2, 1)]
+    assert _check_pass_against_run(cfg, plan, demands, [[1, 0, j] for j in range(4)]) >= 16
