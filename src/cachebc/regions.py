@@ -1,14 +1,16 @@
 """Achievable-rate and capacity-region computations.
 
 Closed forms for the two-receiver tradeoffs, the K-receiver feasibility
-conditions of the subset-caching scheme, a first-principles per-phase LP
+conditions of the subset-caching scheme (their best rate in closed form when
+every receiver caches, an LP otherwise), a first-principles per-phase LP
 oracle for the same scheme, the time sharing of that scheme across cache
-layers for unequal cache sizes (one exact LP for each tuple of per-layer
-subset sizes t, enumerated), and the exact membership test for the
-single-common-demand region.
+layers for unequal cache sizes (an exact LP for each tuple of per-layer
+subset sizes t, all tuples stacked block-diagonally into one LP), and the
+exact membership test for the single-common-demand region.
 
-All LPs are small and dense; they are solved in floating point (HiGHS) with a
-feasibility tolerance of 1e-9.
+All LPs are small and dense.  They go through one entry point, ``linprog``,
+and are solved in floating point by HiGHS at its default feasibility
+tolerance (1e-7); the membership tests allow a slack of TOL = 1e-9.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .model import ConfigError, SystemConfig, check_k0_t, check_memory
 
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 TOL = 1e-9
+HIGHS_INF = 1e20  # HiGHS reads a bound or right-hand side this large as infinite
 
 
 class OutOfRegimeError(ValueError):
@@ -52,6 +55,38 @@ class OutOfRegimeError(ValueError):
 
 class DegenerateChannelError(ValueError):
     """A receiver with erasure probability 1 was asked to decode positive rate."""
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
+    """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
+    and ``bounds``, one (low, high) pair per variable with None for no bound
+    (default: every variable >= 0).
+
+    The module's one LP entry point.  It hands the model to HiGHS through
+    scipy's ``milp`` with no integer variable, which checks far less per call
+    than scipy's ``linprog`` and gives the same solution.  Returns milp's
+    result (``success``, ``x``, ``fun``).
+    """
+    rows, row_lb, row_ub = [], [], []
+    if A_ub is not None:
+        rows.append(A_ub)
+        row_lb.append(np.full(len(b_ub), -np.inf))
+        row_ub.append(b_ub)
+    if A_eq is not None:
+        rows.append(A_eq)
+        row_lb.append(b_eq)
+        row_ub.append(b_eq)
+    # one constraint block: milp would stack several in this order anyway,
+    # at the cost of one more sparse conversion
+    constraints = [
+        LinearConstraint(np.vstack(rows), np.concatenate(row_lb), np.concatenate(row_ub))
+    ] if rows else []
+    if bounds is None:
+        lb, ub = 0.0, np.inf
+    else:
+        lb = [-np.inf if lo is None else lo for lo, _ in bounds]
+        ub = [np.inf if hi is None else hi for _, hi in bounds]
+    return milp(c, constraints=constraints, bounds=Bounds(lb, ub))
 
 
 def _check_tol(tol: float) -> None:
@@ -293,6 +328,12 @@ def general_max_symmetric_rate(cfg: SystemConfig, K0, M) -> GeneralConditionsRes
     Tie-breaking is deterministic: the smallest t achieving the optimum, and
     the lexicographically smallest optimal C (obtained by sequential
     minimization at the fixed optimal rate).
+
+    With every receiver caching (K0 = K) there is no piggyback rate, and every
+    row reads R <= b_i with b_i >= 0, so the optimum at each t is min b_i.
+
+    Raises ConfigError when M drives a right-hand side to HIGHS_INF or
+    beyond, where HiGHS would read it as no bound at all.
     """
     K = cfg.K
     if not 2 <= K0 <= K:
@@ -301,12 +342,19 @@ def general_max_symmetric_rate(cfg: SystemConfig, K0, M) -> GeneralConditionsRes
     best = None
     for t in range(1, K0):
         A, b, nv, ntail = _printed_conditions_lp(cfg, K0, t, M)
-        c = np.zeros(nv)
-        c[0] = -1.0
-        res = linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * nv, method="highs")
-        if not res.success:
-            continue
-        R = -res.fun
+        if not (b < HIGHS_INF).all():
+            raise ConfigError(
+                f"M must keep the published right-hand sides below {HIGHS_INF:g}, got {M}"
+            )
+        if K0 == K:
+            R = float(b.min())
+        else:
+            c = np.zeros(nv)
+            c[0] = -1.0
+            res = linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * nv)
+            if not res.success:
+                continue
+            R = -res.fun
         if best is None or R > best[0] + 1e-12:
             best = (R, t, A, b, nv, ntail)
     if best is None:
@@ -333,7 +381,6 @@ def general_max_symmetric_rate(cfg: SystemConfig, K0, M) -> GeneralConditionsRes
             A_eq=np.array(A_eq),
             b_eq=np.array(b_eq),
             bounds=[(0, None)] * nv,
-            method="highs",
         )
         x_fixed[j] = max(0.0, res.x[j]) if res.success else 0.0
     Cmat = np.array(x_fixed[1:], dtype=float).reshape(K0, ntail) if ntail else np.zeros((K0, 0))
@@ -515,7 +562,7 @@ def phase_lp_max_rate(cfg: SystemConfig, K0, M, t) -> PhaseLpResult:
     bounds = _max_rate_bounds(cfg, K0, t, M, ix["ntail"])
     c = np.zeros(nv)
     c[ix["R"]] = -1.0
-    res = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
     if not res.success:
         if any(d >= 1.0 for d in cfg.deltas):
             raise DegenerateChannelError("phase LP infeasible: degenerate channel")
@@ -564,7 +611,7 @@ def max_min_slack_assignment(
     bounds += [(None, None)]
     c = np.zeros(nv)
     c[ix["S"]] = -1.0
-    res = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
     if not res.success:
         raise OutOfRegimeError("slack assignment LP infeasible")
     # unweighted per-row slack of the solution point
@@ -627,25 +674,46 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
 
     # a layer without memory caps r_c at 0, so its t cannot change the rate
     sizes = [_subset_sizes(K0) if dm > 0 else (1,) for K0, dm in layers]
-    best = -math.inf
-    for ts in itertools.product(*sizes):
-        blocks = [_phase_lp_rows(cfg, K0, t) for (K0, _), t in zip(layers, ts)]
-        bounds, c = [], []
-        for (K0, dm), t, (_, _, _, _, nv, ix) in zip(layers, ts, blocks):
-            bounds += _max_rate_bounds(cfg, K0, t, dm, ix["ntail"])
-            c += [-1.0 if j == ix["R"] else 0.0 for j in range(nv)]
+    rows = {(K0, t): _phase_lp_rows(cfg, K0, t) for (K0, _), ts in zip(layers, sizes) for t in ts}
+
+    def solve(tuples):
+        """The LPs of ``tuples`` as one block-diagonal LP maximizing the sum of
+        their rates.  Returns the result and each tuple's rate columns."""
+        A_ub, b_ub, A_eq, bounds, rate_cols = [], [], [], [], []
+        for ts in tuples:
+            cols, eq = [], []
+            for (K0, dm), t in zip(layers, ts):
+                A, b, A_eq_t, _, _, ix = rows[K0, t]
+                cols.append(len(bounds) + ix["R"])
+                bounds += _max_rate_bounds(cfg, K0, t, dm, ix["ntail"])
+                A_ub.append(A)
+                b_ub.append(b)
+                eq.append(A_eq_t)
+            rate_cols.append(cols)
+            A_eq.append(np.hstack(eq))
+        c = np.zeros(len(bounds))
+        c[np.ravel(rate_cols)] = -1.0
         res = linprog(
             c,
-            A_ub=block_diag(*(blk[0] for blk in blocks)),
-            b_ub=np.concatenate([blk[1] for blk in blocks]),
-            A_eq=np.hstack([blk[2] for blk in blocks]),
-            b_eq=[1.0],
+            A_ub=block_diag(*A_ub),
+            b_ub=np.concatenate(b_ub),
+            A_eq=block_diag(*A_eq),
+            b_eq=np.ones(len(tuples)),
             bounds=bounds,
-            method="highs",
         )
+        return res, rate_cols
+
+    tuples = list(itertools.product(*sizes))
+    res, rate_cols = solve(tuples)
+    if res.success:
+        return max(float(res.x[cols].sum()) for cols in rate_cols)
+    # solve tuple by tuple, so that a failure names its tuple
+    best = -math.inf
+    for ts in tuples:
+        res, (cols,) = solve([ts])
         if not res.success:
             raise OutOfRegimeError(f"time-sharing LP infeasible for subset sizes {ts}")
-        best = max(best, -res.fun)
+        best = max(best, float(res.x[cols].sum()))
     return best
 
 
@@ -701,7 +769,6 @@ def common_demand_contains_lp(cfg: SystemConfig, rates=None, memories=None, tol=
         A_ub=np.array(A),
         b_ub=np.array(b) + tol,
         bounds=list(zip(lb, [None] * nv)),
-        method="highs",
     )
     return bool(res.success)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -145,6 +146,41 @@ def test_optimize_general_and_phase_lp(capsys, tmp_path):
     code2, out2, _ = run(capsys, ["optimize", "--config", str(path), "--mode", "phase-lp", "--K0", "2", "--M", "0.3"])
     assert code2 == 0
     assert json.loads(out2)["rate"] == pytest.approx(0.25, abs=1e-9)
+
+
+@pytest.fixture
+def k3_cfg(tmp_path):
+    path = tmp_path / "k3.json"
+    path.write_text(
+        json.dumps(
+            {
+                "K": 3, "D": 3, "F": 1, "deltas": [0.8, 0.5, 0.2],
+                "rates": [1.0] * 3, "memories": [0.6, 0.3, 0.1],
+            }
+        )
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("M", ["1e300", "1e308"])
+@pytest.mark.parametrize("K0", ["3", "2"])
+def test_optimize_general_rejects_a_cache_too_large_for_the_lp(capsys, k3_cfg, K0, M):
+    # 1e308 overflowed a right-hand side to inf (a scipy ValueError, exit 1);
+    # 1e300 left one beyond 1e20, which HiGHS reads as no bound, and the
+    # unbounded LP was reported infeasible at every t
+    argv = ["optimize", "--config", k3_cfg, "--mode", "general", "--K0", K0, "--M", M]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "error: M must" in err
+
+
+@pytest.mark.parametrize("K0", ["3", "2"])
+def test_optimize_general_solves_a_large_cache_below_the_bound(capsys, k3_cfg, K0):
+    argv = ["optimize", "--config", k3_cfg, "--mode", "general", "--K0", K0, "--M", "1e19"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rate"] > 1e18 and math.isfinite(payload["rate"])
 
 
 def test_placement_show(capsys, sim_cfg):

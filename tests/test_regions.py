@@ -11,8 +11,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
+from cachebc import regions
 from cachebc import (
     ConfigError,
     DegenerateChannelError,
@@ -61,6 +65,37 @@ def lp_max_joint(d1, d2, f, dd, M):
         [-1.0, 0.0], A_ub=A, b_ub=b, bounds=[(2 * M / dd, None), (0, 1)], method="highs"
     )
     return -res.fun if res.success else None
+
+
+# -- the LP entry point --------------------------------------------------------
+
+
+def test_linprog_entry_point_matches_scipy_highs():
+    """regions.linprog gives scipy linprog's status and, when solved, its x
+    bit for bit: on max-rate phase LPs, on slack-assignment LPs (rate pinned,
+    slack free), and on phase LPs with the rate pinned and no slack, which
+    have no solution when the rate is too high."""
+    rng = np.random.default_rng(53)
+    statuses = []
+    for _ in range(40):
+        cfg = random_unequal_cfg(rng, int(rng.integers(2, 5)))
+        K0 = int(rng.integers(1, cfg.K + 1))
+        t = int(rng.integers(1, max(K0, 2)))
+        M, rate = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 1.0))
+        A, b, A_eq, b_eq, nv, ix = regions._phase_lp_rows(cfg, K0, t)
+        max_rate = regions._max_rate_bounds(cfg, K0, t, M, ix["ntail"])
+        slack = [(rate, rate)] + max_rate[1:-1] + [(None, None)]
+        pinned = [(rate, rate)] + max_rate[1:]
+        for col, bounds in ((ix["R"], max_rate), (ix["S"], slack), (ix["R"], pinned)):
+            c = np.zeros(nv)
+            c[col] = -1.0
+            ours = regions.linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+            ref = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+            assert ours.status == ref.status
+            if ref.status == 0:
+                assert np.array_equal(ours.x, ref.x)
+            statuses.append(ref.status)
+    assert set(statuses) == {0, 2}
 
 
 # -- two-receiver tradeoffs ---------------------------------------------------
@@ -248,6 +283,43 @@ def test_conditions_hold_exactly_at_published_optimum(cfg_3rx):
         assert not general_conditions_feasible(cfg, K0, res.t, res.rate + 1e-6, M, C)
 
 
+@st.composite
+def all_caching_cases(draw):
+    """K = 2..5 receivers that all cache M (K0 = K); sometimes the weakest
+    receiver's channel is always erased."""
+    K = draw(st.integers(2, 5))
+    deltas = sorted(draw(st.lists(st.floats(0.0, 0.95), min_size=K, max_size=K)), reverse=True)
+    if draw(st.booleans()):
+        deltas[0] = 1.0
+    D = draw(st.integers(1, 4))
+    M = draw(st.floats(0.0, 2.0)) * D
+    cfg = SystemConfig(
+        K=K, D=D, F=draw(st.integers(1, 16)), deltas=deltas, rates=[1.0] * D, memories=[M] * K
+    )
+    return cfg, M
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=all_caching_cases())
+def test_published_closed_form_matches_lp_over_printed_rows(case):
+    """With every receiver caching, the published rate is read off the rows in
+    closed form; scipy's LP over the same rows, maximized over t with the
+    smallest t on ties, gives the same rate and t."""
+    cfg, M = case
+    best = None
+    for t in range(1, cfg.K):
+        A, b, nv, _ = regions._printed_conditions_lp(cfg, cfg.K, t, M)
+        c = np.zeros(nv)
+        c[0] = -1.0
+        res = linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * nv, method="highs")
+        assert res.success
+        if best is None or -res.fun > best[0] + 1e-12:
+            best = (-res.fun, t)
+    got = general_max_symmetric_rate(cfg, cfg.K, M)
+    assert got.rate == pytest.approx(best[0], abs=1e-12)
+    assert got.t == best[1]
+
+
 def test_printed_conditions_never_below_phase_lp(cfg_3rx):
     """Setting every phase fraction to 1 relaxes the per-phase system, so the
     published bound dominates the explicit-fraction oracle everywhere."""
@@ -422,24 +494,78 @@ def test_unequal_four_rx_frozen_optimum():
     assert unequal_cache_max_rate(cfg) == pytest.approx(0.4074771076, abs=1e-7)
 
 
+def best_tuple_lp_rate(cfg):
+    """One scipy LP per tuple of per-layer subset sizes (memory-less layers
+    included), each over the per-phase rows of its layers; the best rate."""
+    K = cfg.K
+    mems = list(cfg.memories) + [0.0]
+    layers = [(K + 1 - i, mems[K - i] - mems[K - i + 1]) for i in range(1, K + 1)]
+    best = -math.inf
+    for ts in itertools.product(*(range(1, max(K0, 2)) for K0, _ in layers)):
+        blocks = [regions._phase_lp_rows(cfg, K0, t) for (K0, _), t in zip(layers, ts)]
+        c, bounds = [], []
+        for (K0, dm), t, (_, _, _, _, nv, ix) in zip(layers, ts, blocks):
+            c += [-1.0 if j == ix["R"] else 0.0 for j in range(nv)]
+            bounds += regions._max_rate_bounds(cfg, K0, t, dm, ix["ntail"])
+        res = linprog(
+            c,
+            A_ub=block_diag(*(blk[0] for blk in blocks)),
+            b_ub=np.concatenate([blk[1] for blk in blocks]),
+            A_eq=np.hstack([blk[2] for blk in blocks]),
+            b_eq=[1.0],
+            bounds=bounds,
+            method="highs",
+        )
+        assert res.success
+        best = max(best, -res.fun)
+    return best
+
+
+def test_unequal_stacked_lp_equals_best_tuple_lp():
+    rng = np.random.default_rng(59)
+    cfgs = [random_unequal_cfg(rng, K) for K in (2, 2, 3, 3, 3, 4, 4, 4)]
+    cfgs.append(replace(cfgs[-1], memories=(cfgs[-1].memories[0],) * 4))
+    for cfg in cfgs:
+        assert unequal_cache_max_rate(cfg) == pytest.approx(best_tuple_lp_rate(cfg), abs=1e-12)
+
+
+def test_unequal_infeasible_tuple_is_named(monkeypatch):
+    """A tuple whose LP has no solution fails the stacked LP; the tuple-by-tuple
+    fallback then names it.  Here t = 2 of the K0 = 3 layer is made
+    infeasible by a lower bound on its rate that no phase split can reach."""
+    max_rate_bounds = regions._max_rate_bounds
+
+    def bounds(cfg, K0, t, M, ntail):
+        out = max_rate_bounds(cfg, K0, t, M, ntail)
+        return [(1e6, None)] + out[1:] if (K0, t) == (3, 2) else out
+
+    monkeypatch.setattr(regions, "_max_rate_bounds", bounds)
+    cfg = SystemConfig(
+        K=3, D=3, F=1, deltas=(0.8, 0.5, 0.2), rates=[1.0] * 3, memories=(0.6, 0.3, 0.1)
+    )
+    with pytest.raises(OutOfRegimeError, match=r"subset sizes \(2, 1, 1\)"):
+        unequal_cache_max_rate(cfg)
+
+
 def test_unequal_zero_memory_layers_solve_one_t(monkeypatch):
     """Equal memories leave layers K0 = 3, 2, 1 without memory, so only the
-    K0 = 4 layer's three subset sizes need an LP; the rate was frozen when
-    all six tuples were solved."""
-    from cachebc import regions
-
+    K0 = 4 layer's three subset sizes make tuples, and all three go into one
+    LP with one time-sharing equality row each; the rate was frozen when all
+    six tuples were solved one by one."""
     calls = []
+    solve = regions.linprog
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return linprog(*args, **kwargs)
+    def counting(c, **kwargs):
+        calls.append(kwargs)
+        return solve(c, **kwargs)
 
     monkeypatch.setattr(regions, "linprog", counting)
     cfg = SystemConfig(
         K=4, D=4, F=1, deltas=(0.8, 0.6, 0.4, 0.2), rates=[1.0] * 4, memories=(1.0,) * 4
     )
     assert unequal_cache_max_rate(cfg) == pytest.approx(0.3893333333333333, abs=1e-12)
-    assert len(calls) == 3
+    assert len(calls) == 1
+    assert calls[0]["A_eq"].shape[0] == 3
 
 
 # -- common demand ------------------------------------------------------------
