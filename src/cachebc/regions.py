@@ -5,12 +5,13 @@ conditions of the subset-caching scheme (their best rate in closed form when
 every receiver caches, an LP otherwise), a first-principles per-phase LP
 oracle for the same scheme, the time sharing of that scheme across cache
 layers for unequal cache sizes (an exact LP for each tuple of per-layer
-subset sizes t, all tuples stacked block-diagonally into one LP), and the
+subset sizes t, the tuples stacked block-diagonally a few per LP), and the
 exact membership test for the single-common-demand region.
 
-All LPs are small and dense.  They go through one entry point, ``linprog``,
-and are solved in floating point by HiGHS at its default feasibility
-tolerance (1e-7); the membership tests allow a slack of TOL = 1e-9.
+All LPs are small; the stacked unequal-cache LP is built sparse.  They go
+through one entry point, ``linprog``, and are solved in floating point by
+HiGHS at its default feasibility tolerance (1e-7); the membership tests allow
+a slack of TOL = 1e-9.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .model import ConfigError, SystemConfig, check_k0_t, check_memory
@@ -47,6 +48,10 @@ __all__ = [
 
 TOL = 1e-9
 HIGHS_INF = 1e20  # HiGHS reads a bound or right-hand side this large as infinite
+# unequal_cache_max_rate stacks this many tuples of subset sizes per LP: one
+# LP for K <= 4, and HiGHS's time grows faster than the stack beyond a few
+# (K = 7, 720 tuples: 3.2 s in chunks of 8, 5.5 s as one LP, 4.5 s one by one)
+_TUPLES_PER_LP = 8
 
 
 class OutOfRegimeError(ValueError):
@@ -60,12 +65,18 @@ class DegenerateChannelError(ValueError):
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
     and ``bounds``, one (low, high) pair per variable with None for no bound
-    (default: every variable >= 0).
+    (default: every variable >= 0).  The matrices may be dense or sparse.
 
     The module's one LP entry point.  It hands the model to HiGHS through
     scipy's ``milp`` with no integer variable, which checks far less per call
     than scipy's ``linprog`` and gives the same solution.  Returns milp's
     result (``success``, ``x``, ``fun``).
+
+    HiGHS reads a right-hand side or bound of HIGHS_INF or more as none.  That
+    is harmless where the value never binds, as a cap on the cached rate
+    beyond what the channel can carry.  Where the LP then fails (one receiver
+    alone, whose rate grows with its cache without end, comes out unbounded),
+    raises ConfigError rather than report a false verdict.
     """
     rows, row_lb, row_ub = [], [], []
     if A_ub is not None:
@@ -78,15 +89,24 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
         row_ub.append(b_eq)
     # one constraint block: milp would stack several in this order anyway,
     # at the cost of one more sparse conversion
+    stack = sparse.vstack if any(sparse.issparse(A) for A in rows) else np.vstack
     constraints = [
-        LinearConstraint(np.vstack(rows), np.concatenate(row_lb), np.concatenate(row_ub))
+        LinearConstraint(stack(rows), np.concatenate(row_lb), np.concatenate(row_ub))
     ] if rows else []
     if bounds is None:
         lb, ub = 0.0, np.inf
     else:
         lb = [-np.inf if lo is None else lo for lo, _ in bounds]
         ub = [np.inf if hi is None else hi for _, hi in bounds]
-    return milp(c, constraints=constraints, bounds=Bounds(lb, ub))
+    res = milp(c, constraints=constraints, bounds=Bounds(lb, ub))
+    if not res.success:
+        data = np.abs(np.concatenate([np.ravel(lb), np.ravel(ub), *row_lb, *row_ub]))
+        if (data[np.isfinite(data)] >= HIGHS_INF).any():
+            raise ConfigError(
+                f"an LP bound or right-hand side reaches {HIGHS_INF:g}, which HiGHS reads "
+                "as infinite, and the LP failed: the cache size M or a rate is too large"
+            )
+    return res
 
 
 def _check_tol(tol: float) -> None:
@@ -354,7 +374,7 @@ def general_max_symmetric_rate(cfg: SystemConfig, K0, M) -> GeneralConditionsRes
             res = linprog(c, A_ub=A, b_ub=b, bounds=[(0, None)] * nv)
             if not res.success:
                 continue
-            R = -res.fun
+            R = -res.fun + 0.0  # a zero optimum comes back as -0.0
         if best is None or R > best[0] + 1e-12:
             best = (R, t, A, b, nv, ntail)
     if best is None:
@@ -514,7 +534,12 @@ def _phase_lp_rows(cfg: SystemConfig, K0: int, t: int):
 
 def _max_rate_bounds(cfg: SystemConfig, K0: int, t: int, M: float, ntail: int) -> list:
     """Variable bounds of the max-rate phase LP: the cached rate per fragment
-    fits in memory M, and the slack variable is pinned to zero."""
+    fits in memory M, and the slack variable is pinned to zero.
+
+    A cap of HIGHS_INF or more is none to HiGHS.  With K >= 2 it never binds
+    (r_c <= R / tau, and the phase rows bound R); with one receiver the LP
+    comes out unbounded, and linprog raises ConfigError.
+    """
     rc_cap = M / (cfg.D * math.comb(K0 - 1, t - 1))
     return [(0, None), (0, rc_cap)] + [(0, 1)] * cfg.K + [(0, None)] * (K0 * ntail) + [(0, 0)]
 
@@ -536,12 +561,13 @@ def _extract_phase_result(cfg, K0, t, x, ix, slack=0.0) -> PhaseLpResult:
     else:
         C = np.zeros((K0, 0))
     return PhaseLpResult(
-        rate=float(x[ix["R"]]),
+        # + 0.0 turns a zero that HiGHS returns as -0.0 into 0.0
+        rate=float(x[ix["R"]]) + 0.0,
         beta=beta,
         piggyback=tuple(tuple(row) for row in C),
         K0=K0,
         t=t,
-        cached_rate_per_fragment=float(x[ix["rc"]]),
+        cached_rate_per_fragment=float(x[ix["rc"]]) + 0.0,
         slack=slack,
     )
 
@@ -676,11 +702,14 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
     sizes = [_subset_sizes(K0) if dm > 0 else (1,) for K0, dm in layers]
     rows = {(K0, t): _phase_lp_rows(cfg, K0, t) for (K0, _), ts in zip(layers, sizes) for t in ts}
 
-    def solve(tuples):
-        """The LPs of ``tuples`` as one block-diagonal LP maximizing the sum of
-        their rates.  Returns the result and each tuple's rate columns."""
+    # the tuples' LPs go _TUPLES_PER_LP at a time into one block-diagonal LP
+    # maximizing the sum of their rates, built sparse so that its size stays
+    # linear in the tuple count, (K-1)! when the memories are distinct
+    tuples = list(itertools.product(*sizes))
+    best = -math.inf
+    for i in range(0, len(tuples), _TUPLES_PER_LP):
         A_ub, b_ub, A_eq, bounds, rate_cols = [], [], [], [], []
-        for ts in tuples:
+        for ts in tuples[i : i + _TUPLES_PER_LP]:
             cols, eq = [], []
             for (K0, dm), t in zip(layers, ts):
                 A, b, A_eq_t, _, _, ix = rows[K0, t]
@@ -695,25 +724,17 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
         c[np.ravel(rate_cols)] = -1.0
         res = linprog(
             c,
-            A_ub=block_diag(*A_ub),
+            A_ub=sparse.block_diag(A_ub, format="csr"),
             b_ub=np.concatenate(b_ub),
-            A_eq=block_diag(*A_eq),
-            b_eq=np.ones(len(tuples)),
+            A_eq=sparse.block_diag(A_eq, format="csr"),
+            b_eq=np.ones(len(rate_cols)),
             bounds=bounds,
         )
-        return res, rate_cols
-
-    tuples = list(itertools.product(*sizes))
-    res, rate_cols = solve(tuples)
-    if res.success:
-        return max(float(res.x[cols].sum()) for cols in rate_cols)
-    # solve tuple by tuple, so that a failure names its tuple
-    best = -math.inf
-    for ts in tuples:
-        res, (cols,) = solve([ts])
+        # every tuple's LP has the solution R = r_c = 0, beta_1 = 1, and its
+        # rate is bounded whatever the cap on r_c: only a solver failure lands here
         if not res.success:
-            raise OutOfRegimeError(f"time-sharing LP infeasible for subset sizes {ts}")
-        best = max(best, float(res.x[cols].sum()))
+            raise OutOfRegimeError(f"time-sharing LP failed: {res.message}")
+        best = max(best, *(float(res.x[cols].sum()) for cols in rate_cols))
     return best
 
 

@@ -7,6 +7,7 @@ the defining inequalities) before being asserted against the closed forms.
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 from cachebc import regions
 from cachebc import (
@@ -529,22 +530,73 @@ def test_unequal_stacked_lp_equals_best_tuple_lp():
         assert unequal_cache_max_rate(cfg) == pytest.approx(best_tuple_lp_rate(cfg), abs=1e-12)
 
 
-def test_unequal_infeasible_tuple_is_named(monkeypatch):
-    """A tuple whose LP has no solution fails the stacked LP; the tuple-by-tuple
-    fallback then names it.  Here t = 2 of the K0 = 3 layer is made
-    infeasible by a lower bound on its rate that no phase split can reach."""
-    max_rate_bounds = regions._max_rate_bounds
+def test_unequal_six_receivers_solve_in_small_sparse_lps():
+    """Distinct memories at K = 6 make 5! = 120 tuples of subset sizes.  One
+    dense block-diagonal LP over them would take about 1.5 GB, a dense LP of
+    8 tuples about 7 MB; the sparse LPs of 8 tuples peak near 1 MB."""
+    cfg = random_unequal_cfg(np.random.default_rng(61), 6)
+    assert len(set(cfg.memories)) == 6
+    tracemalloc.start()
+    try:
+        rate = unequal_cache_max_rate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert rate == pytest.approx(best_tuple_lp_rate(cfg), abs=1e-12)
 
-    def bounds(cfg, K0, t, M, ntail):
-        out = max_rate_bounds(cfg, K0, t, M, ntail)
-        return [(1e6, None)] + out[1:] if (K0, t) == (3, 2) else out
 
-    monkeypatch.setattr(regions, "_max_rate_bounds", bounds)
+def test_unequal_solver_failure_is_out_of_regime(monkeypatch):
+    """Every tuple's LP has the solution R = r_c = 0, beta_1 = 1, and its rate
+    is bounded, so the stacked LP fails only if HiGHS does."""
+    monkeypatch.setattr(
+        regions, "linprog", lambda c, **kw: OptimizeResult(success=False, message="forced")
+    )
     cfg = SystemConfig(
         K=3, D=3, F=1, deltas=(0.8, 0.5, 0.2), rates=[1.0] * 3, memories=(0.6, 0.3, 0.1)
     )
-    with pytest.raises(OutOfRegimeError, match=r"subset sizes \(2, 1, 1\)"):
+    with pytest.raises(OutOfRegimeError, match="time-sharing LP failed: forced"):
         unequal_cache_max_rate(cfg)
+
+
+@pytest.mark.parametrize("M", [1e20, 1e300])
+def test_phase_lps_saturate_when_the_cache_cap_reaches_highs_infinity(M):
+    """HiGHS reads a cap of 1e20 or more on the cached rate per fragment as no
+    cap.  That cannot change the optimum: r_c <= R / tau, and the phase rows
+    bound R, so the cache saturates long before the cap."""
+    cfg = SystemConfig(
+        K=3, D=1, F=1, deltas=(0.8, 0.5, 0.2), rates=[1.0], memories=(M, 0.3, 0.1)
+    )
+    for K0 in (1, 2, 3):
+        got, saturated = (best_phase_lp_rate(cfg, K0, m).rate for m in (M, 10.0))
+        assert got == pytest.approx(saturated, abs=1e-12)
+    saturated = unequal_cache_max_rate(cfg, memories=(10.0, 0.3, 0.1))
+    assert unequal_cache_max_rate(cfg) == pytest.approx(saturated, abs=1e-12)
+
+
+def test_one_receiver_rejects_a_cache_at_highs_infinity():
+    """One receiver's rate grows with its cache without end, so a cap on r_c
+    that HiGHS reads as none left the LP unbounded, reported as infeasible."""
+    cfg = SystemConfig(K=1, D=1, F=1, deltas=(0.5,), rates=[1.0], memories=(1e300,))
+    assert best_phase_lp_rate(cfg, 1, 1e19).rate == pytest.approx(1e19, rel=1e-12)
+    with pytest.raises(ConfigError, match="reaches 1e\\+20.*cache size M"):
+        best_phase_lp_rate(cfg, 1, 1e300)
+    with pytest.raises(ConfigError, match="reaches 1e\\+20.*cache size M"):
+        unequal_cache_max_rate(cfg)
+
+
+def test_zero_optimum_is_positive_zero():
+    """A weakest receiver that is always erased, with no cache, forces every
+    rate to 0; HiGHS returns that optimum as -0.0 and the results read 0.0."""
+    cfg = SystemConfig(
+        K=3, D=3, F=1, deltas=(1.0, 0.5, 0.2), rates=[1.0] * 3, memories=(0.0,) * 3
+    )
+    rates = [general_max_symmetric_rate(cfg, K0, 0.0).rate for K0 in (2, 3)]
+    for K0 in (2, 3):
+        res = best_phase_lp_rate(cfg, K0, 0.0)
+        rates += [res.rate, res.cached_rate_per_fragment]
+    rates.append(unequal_cache_max_rate(cfg))
+    assert [math.copysign(1.0, r) * (r == 0.0) for r in rates] == [1.0] * 7
 
 
 def test_unequal_zero_memory_layers_solve_one_t(monkeypatch):
