@@ -8,10 +8,12 @@ layers for unequal cache sizes (an exact LP for each tuple of per-layer
 subset sizes t, the tuples stacked block-diagonally a few per LP), and the
 exact membership test for the single-common-demand region.
 
-All LPs are small; the stacked unequal-cache LP is built sparse.  They go
-through one entry point, ``linprog``, and are solved in floating point by
-HiGHS at its default feasibility tolerance (1e-7); the membership tests allow
-a slack of TOL = 1e-9.
+All LPs are small.  They go through one entry point, ``linprog``, which
+builds HiGHS's column-wise model itself (the stacked unequal-cache LP from
+its dense per-layer blocks, so that it stays sparse) and solves it through
+scipy's bundled HiGHS bindings, in floating point at HiGHS's default
+feasibility tolerance (1e-7); the membership tests allow a slack of
+TOL = 1e-9.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as highs
 
 from .model import ConfigError, SystemConfig, check_k0_t, check_memory
 
@@ -62,15 +64,32 @@ class DegenerateChannelError(ValueError):
     """A receiver with erasure probability 1 was asked to decode positive rate."""
 
 
+# scipy's status codes for HiGHS's model status, as scipy's milp and linprog
+# map them; any other status reads 4
+_SCIPY_STATUS = {
+    highs.HighsModelStatus.kOptimal: 0,
+    highs.HighsModelStatus.kTimeLimit: 1,
+    highs.HighsModelStatus.kIterationLimit: 1,
+    highs.HighsModelStatus.kInfeasible: 2,
+    highs.HighsModelStatus.kModelError: 2,
+    highs.HighsModelStatus.kUnbounded: 3,
+}
+
+
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
     and ``bounds``, one (low, high) pair per variable with None for no bound
-    (default: every variable >= 0).  The matrices may be dense or sparse.
+    (default: every variable >= 0).  A matrix is a 2-D array or a list of 2-D
+    blocks, read as the block-diagonal matrix they form.
 
-    The module's one LP entry point.  It hands the model to HiGHS through
-    scipy's ``milp`` with no integer variable, which checks far less per call
-    than scipy's ``linprog`` and gives the same solution.  Returns milp's
-    result (``success``, ``x``, ``fun``).
+    The module's one LP entry point.  It builds HiGHS's column-wise model
+    itself, the inequality rows then the equality rows, and solves it through
+    scipy's bundled HiGHS bindings with HiGHS's output off and its other
+    options at their defaults: the model, and so the solution, that scipy's
+    ``linprog`` and ``milp`` give, without their per-call input handling.
+    An LP found infeasible is solved again without presolve, which decides.
+    Returns an OptimizeResult with scipy's ``status`` code, ``success``,
+    ``message``, and ``x`` and ``fun`` (None unless solved).
 
     HiGHS reads a right-hand side or bound of HIGHS_INF or more as none.  That
     is harmless where the value never binds, as a cap on the cached rate
@@ -78,29 +97,82 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     alone, whose rate grows with its cache without end, comes out unbounded),
     raises ConfigError rather than report a false verdict.
     """
-    rows, row_lb, row_ub = [], [], []
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    parts, row_lb, row_ub = [], [np.empty(0)], [np.empty(0)]
     if A_ub is not None:
-        rows.append(A_ub)
+        parts.append(A_ub)
         row_lb.append(np.full(len(b_ub), -np.inf))
         row_ub.append(b_ub)
     if A_eq is not None:
-        rows.append(A_eq)
+        parts.append(A_eq)
         row_lb.append(b_eq)
         row_ub.append(b_eq)
-    # one constraint block: milp would stack several in this order anyway,
-    # at the cost of one more sparse conversion
-    stack = sparse.vstack if any(sparse.issparse(A) for A in rows) else np.vstack
-    constraints = [
-        LinearConstraint(stack(rows), np.concatenate(row_lb), np.concatenate(row_ub))
-    ] if rows else []
+    row_lb, row_ub = np.concatenate(row_lb), np.concatenate(row_ub)
     if bounds is None:
-        lb, ub = 0.0, np.inf
+        lb, ub = np.zeros(n), np.full(n, np.inf)
     else:
-        lb = [-np.inf if lo is None else lo for lo, _ in bounds]
-        ub = [np.inf if hi is None else hi for _, hi in bounds]
-    res = milp(c, constraints=constraints, bounds=Bounds(lb, ub))
+        lb = np.array([-np.inf if lo is None else lo for lo, _ in bounds], dtype=float)
+        ub = np.array([np.inf if hi is None else hi for _, hi in bounds], dtype=float)
+    # the nonzeros row by row, then stably sorted by column: column-wise
+    # storage with each column's rows in order, as scipy's sparse formats hold it
+    rows, cols, vals, m = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)], 0
+    for A in parts:
+        col0 = 0
+        for B in A if isinstance(A, list) else [A]:
+            B = np.asarray(B, dtype=float)
+            if B.ndim != 2:
+                raise ValueError("an LP matrix or block must be 2-D")
+            r, k = np.nonzero(B)
+            rows.append(r + m)
+            cols.append(k + col0)
+            vals.append(B[r, k])
+            m, col0 = m + B.shape[0], col0 + B.shape[1]
+        if col0 != n:
+            raise ValueError(f"an LP matrix has {col0} columns for {n} variables")
+    if m != len(row_ub) or len(lb) != n or len(ub) != n:
+        raise ValueError("the LP's right-hand sides or bounds do not agree with its matrices")
+    # HiGHS rejects a NaN bound or right-hand side itself, but solves a NaN cost
+    if not np.isfinite(c).all():
+        raise ValueError("the LP's costs must be finite")
+    cols = np.concatenate(cols)
+    order = np.argsort(cols, kind="stable")
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = row_lb
+    lp.row_upper_ = row_ub
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    lp.a_matrix_.index_ = np.concatenate(rows)[order]
+    lp.a_matrix_.value_ = np.concatenate(vals)[order]
+    # HiGHS's presolve calls some feasible LPs infeasible (a receiver always
+    # erased and a cap on r_c between about 5e-8 and 1e-7, its feasibility
+    # tolerance), so the simplex without presolve confirms such a verdict
+    for presolve in ("choose", "off"):
+        solver = highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        solver.setOptionValue("presolve", presolve)
+        if solver.passModel(lp) == highs.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the LP")
+        solver.run()
+        model_status = solver.getModelStatus()
+        if model_status != highs.HighsModelStatus.kInfeasible:
+            break
+    status = _SCIPY_STATUS.get(model_status, 4)
+    res = OptimizeResult(
+        status=status,
+        success=status == 0,
+        message=solver.modelStatusToString(model_status),
+        x=np.array(solver.getSolution().col_value) if status == 0 else None,
+        fun=solver.getObjectiveValue() if status == 0 else None,
+    )
     if not res.success:
-        data = np.abs(np.concatenate([np.ravel(lb), np.ravel(ub), *row_lb, *row_ub]))
+        data = np.abs(np.concatenate([lb, ub, row_lb, row_ub]))
         if (data[np.isfinite(data)] >= HIGHS_INF).any():
             raise ConfigError(
                 f"an LP bound or right-hand side reaches {HIGHS_INF:g}, which HiGHS reads "
@@ -617,9 +689,17 @@ def max_min_slack_assignment(
     ``force_zero_piggyback`` pins every C to 0, which reproduces plain
     separate-coding layering.  The result's ``slack`` is always the
     unweighted minimum slack of the chosen point, in bits per channel use.
+
+    Raises ConfigError naming the field unless M and ``rate`` are finite and
+    >= 0 and every weight is finite and > 0.
     """
     K, D = cfg.K, cfg.D
     check_k0_t(K0, t, K)
+    check_memory(M)
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ConfigError(f"rate must be finite and >= 0, got {rate}")
+    if weights and not all(math.isfinite(w) and w > 0 for w in map(float, weights.values())):
+        raise ConfigError(f"weights must be finite and > 0, got {weights}")
     A, b, A_eq, b_eq, nv, ix = _phase_lp_rows(cfg, K0, t)
     if weights:
         A = A.copy()
@@ -703,30 +783,34 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
     rows = {(K0, t): _phase_lp_rows(cfg, K0, t) for (K0, _), ts in zip(layers, sizes) for t in ts}
 
     # the tuples' LPs go _TUPLES_PER_LP at a time into one block-diagonal LP
-    # maximizing the sum of their rates, built sparse so that its size stays
-    # linear in the tuple count, (K-1)! when the memories are distinct
+    # maximizing the sum of their rates; linprog takes its inequality rows as
+    # the layers' blocks, so that its size stays linear in the tuple count,
+    # (K-1)! when the memories are distinct
     tuples = list(itertools.product(*sizes))
     best = -math.inf
     for i in range(0, len(tuples), _TUPLES_PER_LP):
-        A_ub, b_ub, A_eq, bounds, rate_cols = [], [], [], [], []
+        A_ub, b_ub, eq, bounds, rate_cols = [], [], [], [], []
         for ts in tuples[i : i + _TUPLES_PER_LP]:
-            cols, eq = [], []
+            cols = []
             for (K0, dm), t in zip(layers, ts):
                 A, b, A_eq_t, _, _, ix = rows[K0, t]
+                eq.append((len(rate_cols), len(bounds), A_eq_t[0]))
                 cols.append(len(bounds) + ix["R"])
                 bounds += _max_rate_bounds(cfg, K0, t, dm, ix["ntail"])
                 A_ub.append(A)
                 b_ub.append(b)
-                eq.append(A_eq_t)
             rate_cols.append(cols)
-            A_eq.append(np.hstack(eq))
+        # one time-sharing row per tuple over its own columns
+        A_eq = np.zeros((len(rate_cols), len(bounds)))
+        for row, col0, coeffs in eq:
+            A_eq[row, col0 : col0 + len(coeffs)] = coeffs
         c = np.zeros(len(bounds))
         c[np.ravel(rate_cols)] = -1.0
         res = linprog(
             c,
-            A_ub=sparse.block_diag(A_ub, format="csr"),
+            A_ub=A_ub,
             b_ub=np.concatenate(b_ub),
-            A_eq=sparse.block_diag(A_eq, format="csr"),
+            A_eq=A_eq,
             b_eq=np.ones(len(rate_cols)),
             bounds=bounds,
         )
@@ -743,6 +827,24 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _common_demand_point(cfg: SystemConfig, rates, memories, tol: float):
+    """The (rates, memories) point of a common-demand membership test, the
+    config's own where None: one rate per message and one memory per
+    receiver, each finite and >= 0, and a valid slack ``tol``."""
+    _check_tol(tol)
+    R = np.asarray(cfg.rates if rates is None else rates, dtype=float)
+    Mk = np.asarray(cfg.memories if memories is None else memories, dtype=float)
+    if R.shape != (cfg.D,) or Mk.shape != (cfg.K,):
+        raise ConfigError(
+            f"rates must have D={cfg.D} entries and memories K={cfg.K} entries, "
+            f"got {R.shape} and {Mk.shape}"
+        )
+    point = np.concatenate([R, Mk])
+    if not (np.isfinite(point) & (point >= 0)).all():
+        raise ConfigError(f"rates and memories must be finite and >= 0, got {R} and {Mk}")
+    return R, Mk
+
+
 def common_demand_contains(
     cfg: SystemConfig, rates=None, memories=None, tol: float = TOL
 ):
@@ -757,13 +859,7 @@ def common_demand_contains(
     Returns (inside, witness) where witness is the greedy K x D allocation
     when inside, else None.
     """
-    _check_tol(tol)
-    R = np.asarray(cfg.rates if rates is None else rates, dtype=float)
-    Mk = np.asarray(cfg.memories if memories is None else memories, dtype=float)
-    if R.shape != (cfg.D,) or Mk.shape != (cfg.K,):
-        raise ConfigError("rates must have D entries and memories K entries")
-    if (R < 0).any() or (Mk < 0).any():
-        raise ConfigError("rates and memories must be >= 0")
+    R, Mk = _common_demand_point(cfg, rates, memories, tol)
     caps = cfg.F * (1.0 - np.asarray(cfg.deltas))
     witness = np.maximum(0.0, R[None, :] - caps[:, None])
     inside = bool((witness.sum(axis=1) <= Mk + tol).all())
@@ -773,8 +869,7 @@ def common_demand_contains(
 def common_demand_contains_lp(cfg: SystemConfig, rates=None, memories=None, tol=1e-7) -> bool:
     """Membership via the defining linear program (independent of the greedy
     reduction): feasibility in the K*D allocation variables."""
-    R = np.asarray(cfg.rates if rates is None else rates, dtype=float)
-    Mk = np.asarray(cfg.memories if memories is None else memories, dtype=float)
+    R, Mk = _common_demand_point(cfg, rates, memories, tol)
     K, D = cfg.K, cfg.D
     caps = cfg.F * (1.0 - np.asarray(cfg.deltas))
     nv = K * D
@@ -802,11 +897,7 @@ def common_demand_separate_contains(
     Every receiver then decodes behind the worst channel, so each must cache
     the shortfall against min_k (1-delta_k) F.
     """
-    _check_tol(tol)
-    R = np.asarray(cfg.rates if rates is None else rates, dtype=float)
-    Mk = np.asarray(cfg.memories if memories is None else memories, dtype=float)
-    if R.shape != (cfg.D,) or Mk.shape != (cfg.K,):
-        raise ConfigError("rates must have D entries and memories K entries")
+    R, Mk = _common_demand_point(cfg, rates, memories, tol)
     worst = cfg.F * min(1.0 - d for d in cfg.deltas)
     need = np.maximum(0.0, R - worst).sum()
     return bool((need <= Mk + tol).all())

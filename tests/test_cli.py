@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cachebc.cli import main
@@ -94,7 +95,7 @@ def test_region_check_outside_exit_one(capsys, common_cfg):
     assert json.loads(out)["inside"] is False
 
 
-@pytest.mark.parametrize("scheme", ["common", "degraded"])
+@pytest.mark.parametrize("scheme", ["common", "common-separate", "degraded"])
 def test_region_check_rejects_non_finite_rates(capsys, common_cfg, scheme):
     code, out, err = run(
         capsys,
@@ -196,6 +197,45 @@ def test_optimize_lp_modes_reject_one_receivers_cache_at_highs_infinity(capsys, 
     assert code == 2 and out == ""
     assert "error: an LP bound or right-hand side reaches 1e+20" in err
     assert "cache size M" in err
+
+
+def random_optimize_configs(count=24, seed=1701):
+    """Random K = 2..5 configs: sorted channels, 2..K receivers caching
+    (nonincreasing memories, sometimes equal), the rest not."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        K = 2 + i % 4
+        cached = int(rng.integers(2, K + 1))
+        mems = sorted(rng.uniform(0.0, 0.5 * K, cached).round(3), reverse=True)
+        if rng.random() < 0.3:
+            mems = [mems[0]] * cached
+        D = int(rng.integers(K, 2 * K + 1))
+        yield {
+            "K": K, "D": D, "F": int(rng.integers(1, 3)),
+            "deltas": sorted(rng.uniform(0.05, 0.95, K).round(3).tolist(), reverse=True),
+            "rates": [1.0] * D, "memories": [float(m) for m in mems] + [0.0] * (K - cached),
+        }
+
+
+@pytest.mark.parametrize(
+    "mode,digest",
+    [
+        ("general", "9a2136b009218f8dae786a84ff3b7ad056f5c14b5f6a87861b36b49cb0f68b62"),
+        ("phase-lp", "dafd789e3d704b0ed1e0c7844f4616c22d38da98b7d8cc55d8ffaade3671cade"),
+        ("unequal", "52bbe098380f19728ede2cae3b937cfb1a0fbc27bd73f1624d86d1c7d2a0bf52"),
+    ],
+)
+def test_optimize_stdout_pinned(capfd, tmp_path, mode, digest):
+    # capfd also catches anything the LP solver writes to the file descriptors
+    path = tmp_path / "cfg.json"
+    outs = []
+    for config in random_optimize_configs():
+        path.write_text(json.dumps(config))
+        code = main(["optimize", "--config", str(path), "--mode", mode])
+        out, err = capfd.readouterr()
+        assert err == ""
+        outs.append(f"{code}\n{out}")
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == digest
 
 
 def test_placement_show(capsys, sim_cfg):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import block_diag
 from scipy.optimize import OptimizeResult, linprog
 
@@ -71,11 +72,12 @@ def lp_max_joint(d1, d2, f, dd, M):
 # -- the LP entry point --------------------------------------------------------
 
 
-def test_linprog_entry_point_matches_scipy_highs():
+def test_linprog_entry_point_matches_scipy_highs(monkeypatch):
     """regions.linprog gives scipy linprog's status and, when solved, its x
     bit for bit: on max-rate phase LPs, on slack-assignment LPs (rate pinned,
-    slack free), and on phase LPs with the rate pinned and no slack, which
-    have no solution when the rate is too high."""
+    slack free), on phase LPs with the rate pinned and no slack, which have
+    no solution when the rate is too high, and on the stacked unequal-cache
+    LPs, whose inequality rows go in as the layers' blocks."""
     rng = np.random.default_rng(53)
     statuses = []
     for _ in range(40):
@@ -97,6 +99,35 @@ def test_linprog_entry_point_matches_scipy_highs():
                 assert np.array_equal(ours.x, ref.x)
             statuses.append(ref.status)
     assert set(statuses) == {0, 2}
+
+    stacked = []
+    solve = regions.linprog
+    monkeypatch.setattr(regions, "linprog", lambda c, **kw: stacked.append((c, kw)) or solve(c, **kw))
+    for K in (2, 3, 4, 5, 5):
+        unequal_cache_max_rate(random_unequal_cfg(rng, K))
+    monkeypatch.undo()
+    assert len(stacked) == 9  # the 24 tuples at K = 5 go into three LPs of up to 8
+    for c, kw in stacked:
+        ours = regions.linprog(c, **kw)
+        ref = linprog(c, **{**kw, "A_ub": sparse.block_diag(kw["A_ub"])}, method="highs")
+        assert ours.status == ref.status == 0
+        assert np.array_equal(ours.x, ref.x)
+
+
+def test_linprog_rejects_malformed_models():
+    c, A = np.zeros(2), np.eye(2)
+    with pytest.raises(ValueError, match="costs must be finite"):
+        regions.linprog(np.array([np.nan, 1.0]), A_ub=A, b_ub=np.ones(2))
+    with pytest.raises(ValueError, match="HiGHS rejected"):
+        regions.linprog(c, A_ub=A, b_ub=np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="do not agree"):
+        regions.linprog(c, A_ub=A, b_ub=np.ones(3))
+    with pytest.raises(ValueError, match="do not agree"):
+        regions.linprog(c, A_ub=A, b_ub=np.ones(2), bounds=[(0, 1)])
+    with pytest.raises(ValueError, match="3 columns for 2 variables"):
+        regions.linprog(c, A_eq=[np.eye(2), np.ones((1, 1))], b_eq=np.ones(3))
+    with pytest.raises(ValueError, match="2-D"):
+        regions.linprog(c, A_ub=[[1.0, 0.0]], b_ub=np.ones(1))
 
 
 # -- two-receiver tradeoffs ---------------------------------------------------
@@ -370,6 +401,42 @@ def test_phase_lp_monotone_and_saturating(cfg_2rx):
     assert res.cached_rate_per_fragment < 5.0 / cfg_2rx.D
 
 
+@st.composite
+def phase_lp_cases(draw, max_K=4):
+    """K = 2..max_K receivers with nonincreasing memories; sometimes the
+    weakest receiver's channel is always erased."""
+    K = draw(st.integers(2, max_K))
+    deltas = sorted(draw(st.lists(st.floats(0.0, 0.95), min_size=K, max_size=K)), reverse=True)
+    if draw(st.integers(0, 9)) == 0:
+        deltas[0] = 1.0
+    D = draw(st.integers(1, 4))
+    memories = sorted(draw(st.lists(st.floats(0.0, 2.0), min_size=K, max_size=K)), reverse=True)
+    return SystemConfig(
+        K=K, D=D, F=draw(st.integers(1, 4)), deltas=deltas, rates=[1.0] * D,
+        memories=[m * D for m in memories],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=phase_lp_cases(), data=st.data())
+def test_phase_lp_rate_nondecreasing_in_memory(cfg, data):
+    """A larger cache only loosens the cap on the cached rate per fragment."""
+    K0 = data.draw(st.integers(1, cfg.K))
+    t = data.draw(st.integers(1, max(K0 - 1, 1)))
+    M1, M2 = sorted(data.draw(st.lists(st.floats(0.0, 8.0), min_size=2, max_size=2)))
+    assert phase_lp_max_rate(cfg, K0, M2, t).rate >= phase_lp_max_rate(cfg, K0, M1, t).rate - 1e-7
+    assert best_phase_lp_rate(cfg, K0, M2).rate >= best_phase_lp_rate(cfg, K0, M1).rate - 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=phase_lp_cases(max_K=5))
+def test_unequal_rate_at_least_equal_cache_rate(cfg):
+    """The time sharing includes the equal-cache scheme at the smallest
+    memory M_K: every layer but the first gets no time."""
+    equal = best_phase_lp_rate(cfg, cfg.K, cfg.memories[-1]).rate
+    assert unequal_cache_max_rate(cfg) >= equal - 1e-7
+
+
 def test_phase_lp_degenerate_channel():
     # a dead channel supports exactly rate zero (cache underfilled to match)
     cfg = SystemConfig(K=2, D=2, F=1, deltas=[1.0, 1.0], rates=[0.1] * 2, memories=[0, 0])
@@ -599,6 +666,20 @@ def test_zero_optimum_is_positive_zero():
     assert [math.copysign(1.0, r) * (r == 0.0) for r in rates] == [1.0] * 7
 
 
+@pytest.mark.parametrize("M", [5.1e-8, 1e-7])
+def test_erased_receiver_with_a_cache_near_highs_tolerance(M):
+    """With the weakest receiver always erased and a cap on r_c near HiGHS's
+    feasibility tolerance (1e-7), HiGHS's presolve called these LPs
+    infeasible, though R = r_c = 0 solves each; the equal-cache rate is 0,
+    and the unequal caches let the cached receiver read its whole library
+    from cache while the others share the channel."""
+    two = SystemConfig(K=2, D=1, F=1, deltas=(1.0, 0.0), rates=[1.0], memories=(1.0, M))
+    three = replace(two, K=3, deltas=(1.0, 0.0, 0.0), memories=(1.0, M, 0.0))
+    assert best_phase_lp_rate(two, 2, M).rate == pytest.approx(0.0, abs=1e-6)
+    assert unequal_cache_max_rate(two) == pytest.approx(1.0, abs=1e-6)
+    assert unequal_cache_max_rate(three) == pytest.approx(0.5, abs=1e-6)
+
+
 def test_unequal_zero_memory_layers_solve_one_t(monkeypatch):
     """Equal memories leave layers K0 = 3, 2, 1 without memory, so only the
     K0 = 4 layer's three subset sizes make tuples, and all three go into one
@@ -618,6 +699,23 @@ def test_unequal_zero_memory_layers_solve_one_t(monkeypatch):
     assert unequal_cache_max_rate(cfg) == pytest.approx(0.3893333333333333, abs=1e-12)
     assert len(calls) == 1
     assert calls[0]["A_eq"].shape[0] == 3
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("rate", math.nan), ("rate", math.inf), ("rate", -0.1),
+        ("M", math.nan), ("M", math.inf), ("M", -1.0),
+        ("weights", math.nan), ("weights", math.inf), ("weights", 0.0), ("weights", -1.0),
+    ],
+)
+def test_slack_assignment_rejects_bad_inputs(cfg_3rx, field, value):
+    """A bad rate used to come back as an infeasible LP, a NaN weight as a
+    solution whose slack is NaN."""
+    args = {"K0": 2, "M": 0.3, "t": 1, "rate": 0.2}
+    args[field] = {(1, 1): value, (2, 2): 1.0} if field == "weights" else value
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        max_min_slack_assignment(cfg_3rx, **args)
 
 
 # -- common demand ------------------------------------------------------------
@@ -663,6 +761,33 @@ def test_common_demand_closed_form_agrees_with_lp():
             memories=rng.uniform(0, 1.0, size=K),
         )
         assert common_demand_contains(cfg)[0] == common_demand_contains_lp(cfg)
+
+
+@pytest.mark.parametrize(
+    "contains",
+    [common_demand_contains, common_demand_contains_lp, common_demand_separate_contains],
+    ids=["greedy", "lp", "separate"],
+)
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"tol": math.nan}, "tol must"),
+        ({"tol": math.inf}, "tol must"),
+        ({"tol": -1.0}, "tol must"),
+        ({"rates": [0.5]}, "rates must have D=2 entries"),
+        ({"memories": [0.1, 0.1, 0.1]}, "memories K=2 entries"),
+        ({"rates": [-0.1, 0.5]}, "finite and >= 0"),
+        ({"rates": [math.nan, 0.5]}, "finite and >= 0"),
+        ({"memories": [0.1, -0.1]}, "finite and >= 0"),
+        ({"memories": [math.inf, 0.1]}, "finite and >= 0"),
+    ],
+)
+def test_common_demand_tests_reject_bad_points(contains, kwargs, message):
+    """All three membership tests check the point alike; the LP test took a
+    NaN tol as False, an infinite one as True and negative rates as given."""
+    cfg = cfg_common([1.0, 0.5], [1.1, 0.2])
+    with pytest.raises(ConfigError, match=message):
+        contains(cfg, **kwargs)
 
 
 def test_joint_vs_separate_gain():
