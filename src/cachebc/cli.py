@@ -47,12 +47,22 @@ def _emit(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
+def _number(text: str, flag: str, kind: type):
+    """One entry of a list flag read as ``kind``; one that does not read is a
+    ConfigError naming the flag and the entry."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag} entries must be {what}, got {text!r}") from None
 
 
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+def _floats(text: str, flag: str) -> list[float]:
+    return [_number(x, flag, float) for x in text.split(",") if x != ""]
+
+
+def _ints(text: str, flag: str) -> list[int]:
+    return [_number(x, flag, int) for x in text.split(",") if x != ""]
 
 
 _MAX_GRID_POINTS = 100_000
@@ -64,7 +74,7 @@ def _grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:step:stop, got {text!r}")
-    start, step, stop = (float(p) for p in parts)
+    start, step, stop = (_number(p, "--grid", float) for p in parts)
     if not all(math.isfinite(v) for v in (start, step, stop)):
         raise ConfigError(f"grid must have a finite start, step and stop, got {text!r}")
     if step <= 0:
@@ -87,10 +97,10 @@ def _grid(text: str) -> list[float]:
 
 def cmd_region_check(args) -> tuple[int, str]:
     cfg = load_config(args.config)
-    rates = _floats(args.rates) if args.rates else list(cfg.rates)
+    rates = _floats(args.rates, "--rates") if args.rates else list(cfg.rates)
     # overrides pass validate_config; the degraded scheme's rates are one per
     # receiver level, not per message, and degraded_region_contains checks them
-    overrides = {"memories": _floats(args.memories)} if args.memories else {}
+    overrides = {"memories": _floats(args.memories, "--memories")} if args.memories else {}
     if args.scheme != "degraded":
         overrides["rates"] = rates
     cfg = replace(cfg, **overrides)
@@ -191,7 +201,7 @@ def cmd_placement_show(args) -> tuple[int, str]:
 
 def cmd_schedule_show(args) -> tuple[int, str]:
     cfg = load_config(args.config)
-    demand = tuple(_ints(args.demand))
+    demand = tuple(_ints(args.demand, "--demand"))
     plan = plan_scheme(cfg, args.scheme, backoff=args.backoff)
     cfg_sim = plan.cfg_sim
     layout = sub_message_layout(cfg_sim, plan.params.K0, plan.params.t, plan.layout_memory)

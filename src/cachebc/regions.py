@@ -14,17 +14,28 @@ its dense per-layer blocks, so that it stays sparse) and solves it through
 scipy's bundled HiGHS bindings, in floating point at HiGHS's default
 feasibility tolerance (1e-7); the membership tests allow a slack of
 TOL = 1e-9.
+
+The bindings are the compiled module ``scipy.optimize._highspy._core``,
+loaded from its file in scipy's package directory under that name: running
+``scipy.optimize``'s package import would cost a cold process about 0.4 s
+of modules (scipy.linalg, special, spatial, ...) that this module never
+uses.  A process that imports ``scipy.optimize`` before or after shares
+the one module object.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import OptimizeResult
-from scipy.optimize._highspy import _core as highs
+import scipy
 
 from .model import ConfigError, SystemConfig, check_k0_t, check_memory
 
@@ -56,6 +67,33 @@ HIGHS_INF = 1e20  # HiGHS reads a bound or right-hand side this large as infinit
 _TUPLES_PER_LP = 8
 
 
+def _load_highs():
+    """scipy's compiled HiGHS bindings, without ``scipy.optimize/__init__``:
+    the module already imported under its full name if there is one, else
+    its file in scipy's package directory, registered under that name (so a
+    later ``import scipy.optimize`` reuses it rather than registering its
+    pybind11 types a second time)."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    found = importlib.machinery.PathFinder.find_spec("_core", [where])
+    if found is None or found.origin is None:
+        raise ImportError(f"no {name} in {where}", name=name)
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+highs = _load_highs()
+
+
 class OutOfRegimeError(ValueError):
     """The requested point lies outside the regime where the scheme is defined."""
 
@@ -76,6 +114,18 @@ _SCIPY_STATUS = {
 }
 
 
+class LPResult(NamedTuple):
+    """What ``linprog`` reports: scipy's ``status`` code, ``success``,
+    HiGHS's model status string as ``message``, and ``x`` and ``fun``
+    (None unless solved)."""
+
+    status: int
+    success: bool
+    message: str
+    x: np.ndarray | None
+    fun: float | None
+
+
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
     and ``bounds``, one (low, high) pair per variable with None for no bound
@@ -88,8 +138,9 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     options at their defaults: the model, and so the solution, that scipy's
     ``linprog`` and ``milp`` give, without their per-call input handling.
     An LP found infeasible is solved again without presolve, which decides.
-    Returns an OptimizeResult with scipy's ``status`` code, ``success``,
-    ``message``, and ``x`` and ``fun`` (None unless solved).
+    Returns an LPResult: scipy's ``status`` code, ``success``, ``message``,
+    and ``x`` and ``fun`` (None unless solved), the attributes of scipy's
+    OptimizeResult that callers read.
 
     HiGHS reads a right-hand side or bound of HIGHS_INF or more as none.  That
     is harmless where the value never binds, as a cap on the cached rate
@@ -164,7 +215,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
         if model_status != highs.HighsModelStatus.kInfeasible:
             break
     status = _SCIPY_STATUS.get(model_status, 4)
-    res = OptimizeResult(
+    res = LPResult(
         status=status,
         success=status == 0,
         message=solver.modelStatusToString(model_status),

@@ -20,7 +20,10 @@ greedy split can strand bits when fragments are shared by several phases,
 i.e. t >= 2); within a fragment, positions are handed out in fragment order,
 earliest bits first.  The amounts depend only on the layout and the scheme
 parameters, so ``piggyback_grants`` computes them once for any number of
-demands.
+demands.  The max-flow is scipy's (``scipy.sparse.csgraph``), imported on
+the first call of ``maximum_flow``: importing this module loads no
+``scipy.sparse``, which a process that never schedules would pay about
+0.2 s for.
 
 The schedule does not depend on the library bits: ``index_schedule`` gives
 every payload bit as the library positions whose XOR it is (see
@@ -41,8 +44,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .model import ConfigError, SchemeParameters, SystemConfig, validate_demand
 from .placement import SubMessageLayout
@@ -196,6 +197,13 @@ def _xor_constituents(layout: SubMessageLayout, demand, S):
 # -- piggyback slice assignment ---------------------------------------------
 
 
+def maximum_flow(csgraph, source, sink):
+    """``scipy.sparse.csgraph.maximum_flow``, imported on the first call."""
+    from scipy.sparse import csgraph as scipy_csgraph
+
+    return scipy_csgraph.maximum_flow(csgraph, source, sink)
+
+
 def _slice_flow(layout: SubMessageLayout, want_bits: np.ndarray) -> np.ndarray:
     """Split per-phase piggyback demands across eligible fragments.
 
@@ -225,6 +233,8 @@ def _slice_flow(layout: SubMessageLayout, want_bits: np.ndarray) -> np.ndarray:
             caps.append(int(frag_bits[i]))
     if want_bits.sum() == 0 or not rows:
         return np.zeros((K0, tau), dtype=np.int64)
+    from scipy.sparse import csr_matrix
+
     graph = csr_matrix((caps, (rows, cols)), shape=(snk + 1, snk + 1), dtype=np.int64)
     res = maximum_flow(graph.astype(np.int32), src, snk)
     flow = res.flow.toarray()

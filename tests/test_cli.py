@@ -313,6 +313,24 @@ def test_bad_inputs_exit_two_naming_the_field(capsys, sim_cfg, argv, field):
     assert f"error: {field} must" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, entry",
+    [
+        (["schedule-show", "--scheme", "joint-2rx", "--demand", "1,x"], "--demand", "x"),
+        (["schedule-show", "--scheme", "joint-2rx", "--demand", "1,2.5"], "--demand", "2.5"),
+        (["region-check", "--scheme", "degraded", "--rates", "1,x"], "--rates", "x"),
+        (["region-check", "--scheme", "degraded", "--memories", "0.5,y"], "--memories", "y"),
+        (["region-sweep", "--grid", "0:x:1"], "--grid", "x"),
+        (["region-sweep", "--grid", "0::1"], "--grid", ""),
+    ],
+)
+def test_malformed_list_flag_exits_two_naming_the_flag(capsys, sim_cfg, argv, flag, entry):
+    # these used to end in a ValueError traceback and exit 1
+    code, out, err = run(capsys, argv[:1] + ["--config", sim_cfg] + argv[1:])
+    assert code == 2 and out == ""
+    assert f"error: {flag} entries must be" in err and repr(entry) in err
+
+
 @pytest.mark.parametrize("grid", ["0:1:inf", "nan:0.1:1", "0:nan:1", "-inf:1:0"])
 def test_region_sweep_rejects_non_finite_grid(capsys, sweep_cfg, grid):
     # an infinite stop used to loop forever, a NaN bound to give a silent grid

@@ -248,6 +248,36 @@ def test_schedule_piggyback_slices_disjoint_t2():
 
 
 
+@pytest.mark.parametrize(
+    "config, backoff, params, want",
+    [
+        (  # the benchmark's K=4 general config (K0 = 3, t = 1)
+            dict(K=4, D=4, F=16, deltas=(0.8, 0.6, 0.4, 0.2), rates=(1.0,) * 4,
+                 memories=(0.5, 0.5, 0.5, 0.0), n=400),
+            0.6, None, {4: [[50, 0, 0], [0, 50, 0], [0, 0, 50]]},
+        ),
+        (  # K = 5, K0 = 3, t = 2: each fragment is eligible in two phases
+            dict(K=5, D=5, F=16, deltas=(0.85, 0.7, 0.55, 0.4, 0.25), rates=(1.0,) * 5,
+                 memories=(1.0, 1.0, 1.0, 0.0, 0.0), n=400),
+            0.9, SchemeParameters(K0=3, t=2, beta=(0.2,) * 5),
+            {4: [[40, 40, 0], [0, 0, 40], [0, 0, 0]], 5: [[0, 0, 0], [40, 0, 0], [0, 40, 40]]},
+        ),
+    ],
+)
+def test_piggyback_grants_pinned(config, backoff, params, want):
+    """The max-flow's grants on two planned configs, pinned: they must not
+    depend on when or how scipy's max-flow is loaded."""
+    from cachebc import plan_scheme
+    from cachebc.schedule import piggyback_grants
+
+    plan = plan_scheme(SystemConfig(**config), "general", backoff, params=params)
+    p = plan.params
+    layout = sub_message_layout(plan.cfg_sim, p.K0, p.t, plan.layout_memory)
+    grants, shortfall = piggyback_grants(plan.cfg_sim, p, layout)
+    assert shortfall == 0
+    assert {kt: g.tolist() for kt, g in grants.items()} == want
+
+
 def test_plain_items_follow_the_xor_groups():
     # receivers take a phase's XOR groups in order and then all its plain
     # items at once: every phase lists the groups first, and the plain
