@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import block_diag
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 from cachebc import regions
 from cachebc import (
@@ -617,7 +617,7 @@ def test_unequal_solver_failure_is_out_of_regime(monkeypatch):
     """Every tuple's LP has the solution R = r_c = 0, beta_1 = 1, and its rate
     is bounded, so the stacked LP fails only if HiGHS does."""
     monkeypatch.setattr(
-        regions, "linprog", lambda c, **kw: OptimizeResult(success=False, message="forced")
+        regions, "linprog", lambda c, **kw: regions.LPResult(4, False, "forced", None, None)
     )
     cfg = SystemConfig(
         K=3, D=3, F=1, deltas=(0.8, 0.5, 0.2), rates=[1.0] * 3, memories=(0.6, 0.3, 0.1)
