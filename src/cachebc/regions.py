@@ -78,7 +78,7 @@ def _load_highs():
         return sys.modules[name]
     where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
     found = importlib.machinery.PathFinder.find_spec("_core", [where])
-    if found is None or found.origin is None:
+    if found is None:
         raise ImportError(f"no {name} in {where}", name=name)
     spec = importlib.util.spec_from_file_location(name, found.origin)
     module = importlib.util.module_from_spec(spec)

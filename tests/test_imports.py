@@ -12,58 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORE = "scipy.optimize._highspy._core"
 
-
-def run_fresh(code: str) -> dict:
-    """Run ``code`` in a new interpreter that imports cachebc from this
-    checkout; it prints one JSON object, returned here."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
-def test_import_loads_no_scipy_optimize_or_sparse():
-    """After ``import cachebc`` and ``cachebc.cli`` the only scipy.optimize
-    modules are the HiGHS bindings and the submodules they register, and no
-    scipy.sparse module is loaded; one general-scheme experiment loads
-    scipy.sparse.csgraph for its max-flow."""
-    got = run_fresh(
-        f"""
-import json, sys
-import cachebc, cachebc.cli
-from cachebc import SystemConfig, estimate_pe, regions
-scipy_mods = sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
-same = regions.highs is sys.modules[{CORE!r}]
-cfg = SystemConfig(
-    K=3, D=3, F=8, deltas=[0.8, 0.5, 0.2], rates=[1.0] * 3, memories=[0.3, 0.3, 0.0], n=600
-)
-estimate_pe(cfg, "general", backoff=0.8, trials=1, seed=3)
-print(json.dumps({{"mods": scipy_mods, "same": same, "csgraph": "scipy.sparse.csgraph" in sys.modules}}))
-"""
-    )
-    assert CORE in got["mods"]
-    assert all(m == CORE or m.startswith(CORE + ".") for m in got["mods"]), got["mods"]
-    assert got["same"]
-    assert got["csgraph"]
-
-
-@pytest.mark.parametrize("first", ["cachebc", "scipy.optimize"])
-def test_scipy_optimize_shares_the_bindings(first):
-    """Whichever is imported first, scipy.optimize's HiGHS bindings are the
-    module regions holds, and regions.linprog matches scipy's
-    linprog(method="highs") bit for bit on a phase LP."""
-    got = run_fresh(
-        f"""
-import json, sys
-import {first}
+# Imports scipy.optimize, then solves one phase LP through regions.linprog
+# and through scipy's linprog(method="highs"); leaves the comparison in `got`.
+SHARED_LP = f"""
 import scipy.optimize
 from scipy.optimize._highspy import _core
 from cachebc import SystemConfig, regions
@@ -77,12 +31,62 @@ regions.linprog = solve
 c, kw = lps[0]
 ours = regions.linprog(c, **kw)
 ref = scipy.optimize.linprog(c, **kw, method="highs")
-print(json.dumps({{
-    "same": _core is regions.highs is sys.modules[{CORE!r}],
-    "status": [ours.status, int(ref.status)],
-    "x": ours.x.tobytes() == ref.x.tobytes(),
-    "fun": ours.fun == ref.fun,
-}}))
+got["same"] = _core is regions.highs is sys.modules[{CORE!r}]
+got["status"] = [ours.status, int(ref.status)]
+got["x"] = ours.x.tobytes() == ref.x.tobytes()
+got["fun"] = ours.fun == ref.fun
+"""
+
+
+def run_fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter that imports cachebc from this
+    checkout; it fills the dict ``got``, returned here."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = f"import json, sys\ngot = {{}}\n{code}\nprint(json.dumps(got))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def assert_shared_lp(got):
+    assert got["same"]
+    assert got["status"] == [0, 0]
+    assert got["x"] and got["fun"]
+
+
+def test_import_loads_no_scipy_optimize_or_sparse():
+    """After ``import cachebc`` and ``cachebc.cli`` the only scipy.optimize
+    modules are the HiGHS bindings and the submodules they register, and no
+    scipy.sparse module is loaded; one general-scheme experiment loads
+    scipy.sparse.csgraph for its max-flow.  A later ``import scipy.optimize``
+    shares the bindings, and regions.linprog matches scipy's
+    linprog(method="highs") bit for bit on a phase LP."""
+    got = run_fresh(
+        f"""
+import cachebc, cachebc.cli
+from cachebc import SystemConfig, estimate_pe, regions
+got["mods"] = sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
+got["held"] = regions.highs is sys.modules[{CORE!r}]
+cfg = SystemConfig(
+    K=3, D=3, F=8, deltas=[0.8, 0.5, 0.2], rates=[1.0] * 3, memories=[0.3, 0.3, 0.0], n=600
+)
+estimate_pe(cfg, "general", backoff=0.8, trials=1, seed=3)
+got["csgraph"] = "scipy.sparse.csgraph" in sys.modules
+{SHARED_LP}
 """
     )
-    assert got == {"same": True, "status": [0, 0], "x": True, "fun": True}
+    assert CORE in got["mods"]
+    assert all(m == CORE or m.startswith(CORE + ".") for m in got["mods"]), got["mods"]
+    assert got["held"]
+    assert got["csgraph"]
+    assert_shared_lp(got)
+
+
+def test_scipy_optimize_imported_first_shares_the_bindings():
+    """With scipy.optimize imported before cachebc, regions takes the
+    bindings scipy.optimize loaded, and its LP still matches scipy's."""
+    got = run_fresh(f"import scipy.optimize\nimport cachebc\n{SHARED_LP}")
+    assert_shared_lp(got)
