@@ -112,6 +112,8 @@ def sub_message_layout(cfg: SystemConfig, K0: int, t: int, M: float) -> SubMessa
 
     Cached fragments have rate M / (D * C(K0-1, t-1)) each; the remainder has
     rate R - M*K0/(D*t), which must be nonnegative (regime requirement).
+    A cached receiver holds D * C(K0-1, t-1) fragments, which fit in its
+    floor(n * M) bits even where the rate's division rounds up.
     """
     n = cfg.require_n()
     R = cfg.equal_rate()
@@ -119,14 +121,15 @@ def sub_message_layout(cfg: SystemConfig, K0: int, t: int, M: float) -> SubMessa
     check_memory(M)
     subsets = tuple(enumerate_cache_subsets(K0, t))
     tau = len(subsets)
-    r_c = M / (cfg.D * math.comb(K0 - 1, t - 1))
+    held = cfg.D * math.comb(K0 - 1, t - 1)  # fragments per cached receiver
+    r_c = M / held
     r_u = R - M * K0 / (cfg.D * t)
     if r_u < -1e-12:
         raise OutOfRegimeError(
             f"uncached rate would be negative: R={R}, M*K0/(D*t)={M * K0 / (cfg.D * t)}"
         )
     message_bits = message_lengths(cfg)[0]
-    frag = math.floor(n * r_c)
+    frag = min(math.floor(n * r_c), math.floor(n * M) // held)
     if frag * tau > message_bits:  # guards pathological float rounding
         frag = message_bits // max(tau, 1)
     piece_bits = tuple([frag] * tau + [message_bits - frag * tau])

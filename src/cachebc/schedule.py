@@ -20,10 +20,11 @@ greedy split can strand bits when fragments are shared by several phases,
 i.e. t >= 2); within a fragment, positions are handed out in fragment order,
 earliest bits first.  The amounts depend only on the layout and the scheme
 parameters, so ``piggyback_grants`` computes them once for any number of
-demands.  The max-flow is scipy's (``scipy.sparse.csgraph``), imported on
-the first call of ``maximum_flow``: importing this module loads no
-``scipy.sparse``, which a process that never schedules would pay about
-0.2 s for.
+demands.  The max-flow (``maximum_flow``) is Dinic's, in plain Python over
+at most K0 + tau + 2 nodes: it gives scipy's
+``scipy.sparse.csgraph.maximum_flow(method="dinic")`` flow on every edge
+but needs no scipy, so scheduling loads no ``scipy.sparse`` or
+``scipy.linalg``.
 
 The schedule does not depend on the library bits: ``index_schedule`` gives
 every payload bit as the library positions whose XOR it is (see
@@ -197,11 +198,74 @@ def _xor_constituents(layout: SubMessageLayout, demand, S):
 # -- piggyback slice assignment ---------------------------------------------
 
 
-def maximum_flow(csgraph, source, sink):
-    """``scipy.sparse.csgraph.maximum_flow``, imported on the first call."""
-    from scipy.sparse import csgraph as scipy_csgraph
+def maximum_flow(n: int, edges, source: int, sink: int) -> list[int]:
+    """A maximum flow from ``source`` to ``sink`` over nodes ``0..n-1``, by
+    Dinic's blocking-flow algorithm; ``edges`` are (tail, head, capacity)
+    with integer capacities.  Returns the flow on each edge, in order.
 
-    return scipy_csgraph.maximum_flow(csgraph, source, sink)
+    The flow is the one ``scipy.sparse.csgraph.maximum_flow(method="dinic")``
+    gives, edge for edge, without scipy: the same residual graph (each
+    node's out-edges, zero-capacity reverse edges included, by increasing
+    head; an edge and its opposite are each other's reverse), level graphs
+    by breadth-first search, and blocking flows by a depth-first search that
+    keeps a progress pointer per node, moves the parent's pointer on at a
+    dead end and augments each path by its smallest residual capacity.  As
+    there, the flow of an edge whose opposite is also given is the net
+    flow, and repeated edges add their capacities.
+    """
+    residual: dict[tuple[int, int], int] = {}
+    for u, v, c in edges:
+        residual[u, v] = residual.get((u, v), 0) + int(c)
+        residual.setdefault((v, u), 0)
+    arcs = sorted(residual)  # by tail, then head
+    where = {arc: e for e, arc in enumerate(arcs)}
+    head = [v for _, v in arcs]
+    rev = [where[v, u] for u, v in arcs]
+    cap = [residual[arc] for arc in arcs]
+    flow = [0] * len(arcs)
+    first = [0] * (n + 1)  # node u's arcs are first[u]:first[u + 1]
+    for u, _ in arcs:
+        first[u + 1] += 1
+    for u in range(n):
+        first[u + 1] += first[u]
+    while True:
+        level = [-1] * n
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for e in range(first[u], first[u + 1]):
+                if cap[e] > 0 and level[head[e]] < 0:
+                    level[head[e]] = level[u] + 1
+                    queue.append(head[e])
+            if level[sink] >= 0:
+                break
+        else:
+            return [flow[where[u, v]] for u, v, _ in edges]
+        progress = first[:n]
+        stack = [source]  # the path so far; progress[u] is the arc it takes at u
+        while stack:
+            u = stack[-1]
+            e = progress[u]
+            if cap[e] > 0 and level[head[e]] == level[u] + 1:
+                if head[e] != sink:
+                    stack.append(head[e])
+                    continue
+                push = min(cap[progress[w]] for w in stack)
+                for w in stack:
+                    a = progress[w]
+                    cap[a] -= push
+                    cap[rev[a]] += push
+                    flow[a] += push
+                    flow[rev[a]] -= push
+                stack = [source]
+                continue
+            while progress[u] == first[u + 1] - 1:  # u is a dead end
+                stack.pop()
+                if not stack:
+                    break
+                u = stack[-1]
+            else:
+                progress[u] += 1
 
 
 def _slice_flow(layout: SubMessageLayout, want_bits: np.ndarray) -> np.ndarray:
@@ -213,35 +277,24 @@ def _slice_flow(layout: SubMessageLayout, want_bits: np.ndarray) -> np.ndarray:
     occurs when the requests genuinely exceed the union of eligible bits.
     """
     K0, tau = layout.K0, layout.tau
-    frag_bits = np.array(layout.piece_bits[:tau], dtype=np.int64)
+    frag_bits = layout.piece_bits[:tau]
     src, snk = 0, 1 + K0 + tau
-    rows, cols, caps = [], [], []
+    edges = []
     for k in range(1, K0 + 1):
         if want_bits[k - 1] > 0:
-            rows.append(src)
-            cols.append(k)
-            caps.append(int(want_bits[k - 1]))
+            edges.append((src, k, int(want_bits[k - 1])))
         for i in layout.pieces_cached_at(k):
             if frag_bits[i] > 0:
-                rows.append(k)
-                cols.append(1 + K0 + i)
-                caps.append(int(frag_bits[i]))
+                edges.append((k, 1 + K0 + i, frag_bits[i]))
     for i in range(tau):
         if frag_bits[i] > 0:
-            rows.append(1 + K0 + i)
-            cols.append(snk)
-            caps.append(int(frag_bits[i]))
-    if want_bits.sum() == 0 or not rows:
-        return np.zeros((K0, tau), dtype=np.int64)
-    from scipy.sparse import csr_matrix
-
-    graph = csr_matrix((caps, (rows, cols)), shape=(snk + 1, snk + 1), dtype=np.int64)
-    res = maximum_flow(graph.astype(np.int32), src, snk)
-    flow = res.flow.toarray()
+            edges.append((1 + K0 + i, snk, frag_bits[i]))
     grant = np.zeros((K0, tau), dtype=np.int64)
-    for k in range(1, K0 + 1):
-        for i in range(tau):
-            grant[k - 1, i] = max(0, flow[k, 1 + K0 + i])
+    if want_bits.sum() == 0:
+        return grant
+    for (u, v, _), f in zip(edges, maximum_flow(snk + 1, edges, src, snk)):
+        if u != src and v != snk:
+            grant[u - 1, v - 1 - K0] = f
     return grant
 
 

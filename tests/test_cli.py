@@ -262,6 +262,10 @@ _K4 = {
     "K": 4, "D": 4, "F": 16, "deltas": [0.8, 0.6, 0.4, 0.2], "rates": [1.0] * 4,
     "memories": [0.5, 0.5, 0.5, 0.0], "n": 400,
 }
+_K6 = {
+    "K": 6, "D": 6, "F": 16, "deltas": [0.89, 0.81, 0.65, 0.34, 0.30, 0.18],
+    "rates": [1.0] * 6, "memories": [3.45] * 4 + [0.0, 0.0], "n": 600,
+}
 _JOINT = {
     "K": 2, "D": 4, "F": 16, "deltas": [0.8, 0.2], "rates": [1.0] * 4,
     "memories": [0.8, 0.0], "n": 4000,
@@ -275,10 +279,12 @@ _JOINT = {
          "be3d6a452e217505d1b90c19717a4835ce540f559202b2907e28a10ab720ed11"),
         (_K4, ["--demand", "3,3,3,2", "--backoff", "0.6"],
          "c8940e108f366c5223e64eb3e40e7c5b7b846cff0fd896aa2d0ffcd43482b5b6"),
+        (_K6, ["--demand", "1,2,3,4,5,6", "--backoff", "0.9"],
+         "e3c47dad7211f6a520a8af0bb79c2dc2cd303ad970f059a2afe2ee00fb4c8298"),
         (_JOINT, ["--scheme", "joint-2rx", "--demand", "1,2", "--backoff", "0.9"],
          "d6638c2c10f04279427a22cdb4fbab05c74eb2f8d254a2ca5ed4bb0b840ebc9c"),
     ],
-    ids=["k4-1211", "k4-3332", "joint-2rx"],
+    ids=["k4-1211", "k4-3332", "k6-split", "joint-2rx"],
 )
 def test_schedule_show_stdout_pinned(capsys, tmp_path, config, argv, digest):
     path = tmp_path / "cfg.json"

@@ -1,9 +1,10 @@
 """What ``import cachebc`` loads, checked in fresh interpreters.
 
 The package loads scipy's compiled HiGHS bindings from their file, without
-running ``scipy.optimize``'s package import, and imports scipy's max-flow
-(``scipy.sparse.csgraph``) on a schedule's first use.  A process that
-imports ``scipy.optimize`` too, before or after, shares one bindings module.
+running ``scipy.optimize``'s package import, and its piggyback max-flow is
+its own, so scheduling loads no ``scipy.sparse`` or ``scipy.linalg``.  A
+process that imports ``scipy.optimize`` too, before or after, shares one
+bindings module.
 """
 
 import json
@@ -57,31 +58,43 @@ def assert_shared_lp(got):
     assert got["x"] and got["fun"]
 
 
-def test_import_loads_no_scipy_optimize_or_sparse():
+def test_import_loads_no_scipy_optimize_or_sparse(tmp_path):
     """After ``import cachebc`` and ``cachebc.cli`` the only scipy.optimize
-    modules are the HiGHS bindings and the submodules they register, and no
-    scipy.sparse module is loaded; one general-scheme experiment loads
-    scipy.sparse.csgraph for its max-flow.  A later ``import scipy.optimize``
-    shares the bindings, and regions.linprog matches scipy's
-    linprog(method="highs") bit for bit on a phase LP."""
+    modules are the HiGHS bindings and the submodules they register.  One
+    general-scheme experiment and one ``schedule-show``, both running the
+    piggyback max-flow, load no scipy.sparse or scipy.linalg module.  A
+    later ``import scipy.optimize`` shares the bindings, and regions.linprog
+    matches scipy's linprog(method="highs") bit for bit on a phase LP."""
+    config = dict(K=3, D=3, F=8, deltas=[0.8, 0.5, 0.2], rates=[1.0] * 3,
+                  memories=[0.3, 0.3, 0.0], n=600)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
     got = run_fresh(
         f"""
+import contextlib, io
 import cachebc, cachebc.cli
-from cachebc import SystemConfig, estimate_pe, regions
+from cachebc import SystemConfig, estimate_pe, regions, schedule
 got["mods"] = sorted(m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.sparse")))
 got["held"] = regions.highs is sys.modules[{CORE!r}]
-cfg = SystemConfig(
-    K=3, D=3, F=8, deltas=[0.8, 0.5, 0.2], rates=[1.0] * 3, memories=[0.3, 0.3, 0.0], n=600
-)
-estimate_pe(cfg, "general", backoff=0.8, trials=1, seed=3)
-got["csgraph"] = "scipy.sparse.csgraph" in sys.modules
+flow, got["flows"] = schedule.maximum_flow, 0
+def counted(*args):
+    got["flows"] += 1
+    return flow(*args)
+schedule.maximum_flow = counted
+estimate_pe(SystemConfig(**{config!r}), "general", backoff=0.8, trials=1, seed=3)
+show = ["schedule-show", "--config", {str(path)!r}, "--demand", "1,2,3", "--backoff", "0.8"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    got["show"] = cachebc.cli.main(show)
+got["slices"] = out.getvalue().count("piggyback-slice")
+got["loaded"] = sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg")))
 {SHARED_LP}
 """
     )
     assert CORE in got["mods"]
     assert all(m == CORE or m.startswith(CORE + ".") for m in got["mods"]), got["mods"]
     assert got["held"]
-    assert got["csgraph"]
+    assert got["flows"] >= 2 and got["show"] == 0 and got["slices"] > 0
+    assert got["loaded"] == []
     assert_shared_lp(got)
 
 

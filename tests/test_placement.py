@@ -13,6 +13,7 @@ from cachebc import (
     common_demand_contains,
     draw_library,
     enumerate_cache_subsets,
+    estimate_pe,
     sub_message_layout,
 )
 from cachebc.schedule import flat_library
@@ -167,6 +168,17 @@ def test_cache_capacity_error():
     layout = sub_message_layout(cfg, 3, 2, 3.0)
     with pytest.raises(CapacityError, match="receiver 1"):
         build_caches(cfg, layout)
+
+
+def test_layout_fits_a_memory_whose_share_rounds_up():
+    # 0.3 * 3 is 0.8999999999999999, and dividing it by D = 3 gives 0.3 again,
+    # so n * r_c asks for 30 bits a fragment, 90 in all, against floor(n * M) = 89
+    M = 0.3 * 3
+    cfg = SystemConfig(K=2, D=3, F=4, deltas=[0.5, 0.5], rates=[1.0] * 3, memories=[M, 0.0], n=100)
+    layout = sub_message_layout(cfg, 1, 1, M)
+    assert layout.piece_bits[0] == 29
+    assert bits_at(build_caches(cfg, layout), 1) == 87
+    assert estimate_pe(cfg, "general", backoff=1.0, trials=1, seed=0).trials == 1
 
 
 def test_prefix_caches():
