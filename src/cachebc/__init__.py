@@ -5,7 +5,6 @@ validation with a rateless random-linear erasure codec."""
 from .model import (
     ConfigError,
     DemandSet,
-    RateMemoryTuple,
     SchemeParameters,
     SystemConfig,
     config_from_json,

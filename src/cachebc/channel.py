@@ -40,21 +40,8 @@ class ChannelRealization:
         """Channel-use indices receiver k observed unerased (1-based k)."""
         return np.flatnonzero(~self.erased[k - 1])
 
-    def received_packets(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.received_indices(k)
-        return idx, self.inputs[idx]
-
     def erasure_fraction(self, k: int) -> float:
         return float(self.erased[k - 1].mean())
-
-    def trace_csv(self) -> str:
-        """Debug dump: one row per use with the per-receiver erased flags."""
-        K = self.erased.shape[0]
-        lines = ["use," + ",".join(f"erased_rx{k}" for k in range(1, K + 1))]
-        for i in range(self.n):
-            flags = ",".join(str(int(self.erased[k, i])) for k in range(K))
-            lines.append(f"{i},{flags}")
-        return "\n".join(lines) + "\n"
 
 
 def erasures(count: int, deltas, seed) -> np.ndarray:

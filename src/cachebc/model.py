@@ -21,7 +21,6 @@ __all__ = [
     "ConfigError",
     "DemandSet",
     "SystemConfig",
-    "RateMemoryTuple",
     "SchemeParameters",
     "validate_config",
     "validate_demand",
@@ -218,20 +217,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         check_count("n", cfg.n)
     cfg.demand_set.validate(cfg.K, cfg.D)
     return cfg
-
-
-@dataclass(frozen=True)
-class RateMemoryTuple:
-    """A candidate point (R_1..R_D, M_1..M_K), bits per channel use."""
-
-    rates: tuple[float, ...]
-    memories: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(x) for x in self.rates))
-        object.__setattr__(self, "memories", tuple(float(x) for x in self.memories))
-        _check_entries("rates", self.rates)
-        _check_entries("memories", self.memories)
 
 
 @dataclass(frozen=True)

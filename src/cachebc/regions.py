@@ -248,15 +248,13 @@ def degraded_region_contains(
     cfg: SystemConfig,
     rates_by_level,
     tol: float = TOL,
-    raise_on_degenerate: bool = False,
 ) -> bool:
     """Membership test for the degraded message-set capacity region.
 
     ``rates_by_level[k-1]`` is the rate that must be decodable by receivers
     k..K.  The tuple is inside the region iff
     ``sum_k r_k / (F (1 - delta_k)) <= 1``.  A receiver with erasure
-    probability 1 cannot carry positive rate: that yields False, or a
-    DegenerateChannelError when ``raise_on_degenerate`` is set.
+    probability 1 cannot carry positive rate, so such a tuple yields False.
     """
     _check_tol(tol)
     r = [float(x) for x in rates_by_level]
@@ -270,10 +268,6 @@ def degraded_region_contains(
         dk = cfg.delta(k)
         if dk >= 1.0:
             if rk > tol:
-                if raise_on_degenerate:
-                    raise DegenerateChannelError(
-                        f"receiver {k} has erasure probability 1 but rate {rk}"
-                    )
                 return False
             continue
         total += rk / (cfg.F * (1.0 - dk))
@@ -420,9 +414,6 @@ class GeneralConditionsResult:
     t: int
     piggyback: tuple[tuple[float, ...], ...]
 
-    def piggyback_array(self) -> np.ndarray:
-        return np.array(self.piggyback, dtype=float)
-
 
 def _printed_conditions_lp(cfg: SystemConfig, K0: int, t: int, M: float):
     """Rows (A_ub, b_ub) of the published conditions over x = [R, C...]."""
@@ -504,29 +495,20 @@ def general_max_symmetric_rate(cfg: SystemConfig, K0, M) -> GeneralConditionsRes
         raise DegenerateChannelError("published conditions infeasible at every t")
     R, t, A, b, nv, ntail = best
     # pin the rate, then minimize each piggyback rate in lexicographic order
-    x_fixed = [None] * nv
-    x_fixed[0] = R
+    x_fixed = [R]
     for j in range(1, nv):
         c = np.zeros(nv)
         c[j] = 1.0
-        A_eq = []
-        b_eq = []
-        for i, v in enumerate(x_fixed):
-            if v is not None:
-                row = np.zeros(nv)
-                row[i] = 1.0
-                A_eq.append(row)
-                b_eq.append(v)
         res = linprog(
             c,
             A_ub=A,
             b_ub=b + 1e-9,
-            A_eq=np.array(A_eq),
-            b_eq=np.array(b_eq),
+            A_eq=np.eye(nv)[:j],
+            b_eq=np.array(x_fixed),
             bounds=[(0, None)] * nv,
         )
-        x_fixed[j] = max(0.0, res.x[j]) if res.success else 0.0
-    Cmat = np.array(x_fixed[1:], dtype=float).reshape(K0, ntail) if ntail else np.zeros((K0, 0))
+        x_fixed.append(max(0.0, res.x[j]) if res.success else 0.0)
+    Cmat = np.array(x_fixed[1:], dtype=float).reshape(K0, ntail)
     Cmat[np.abs(Cmat) < 1e-11] = 0.0
     return GeneralConditionsResult(
         rate=R, t=t, piggyback=tuple(tuple(row) for row in Cmat)
@@ -547,12 +529,6 @@ class PhaseLpResult:
     t: int
     cached_rate_per_fragment: float  # effective r_c actually used
     slack: float = 0.0
-
-    def piggyback_array(self) -> np.ndarray:
-        K = len(self.beta)
-        if self.K0 >= K:
-            return np.zeros((self.K0, 0))
-        return np.array(self.piggyback, dtype=float).reshape(self.K0, K - self.K0)
 
 
 def _phase_lp_rows(cfg: SystemConfig, K0: int, t: int):
@@ -835,26 +811,24 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
 
     # the tuples' LPs go _TUPLES_PER_LP at a time into one block-diagonal LP
     # maximizing the sum of their rates; linprog takes its inequality rows as
-    # the layers' blocks, so that its size stays linear in the tuple count,
-    # (K-1)! when the memories are distinct
+    # the layers' blocks and its equality rows as one time-sharing row per
+    # tuple over the tuple's own columns, so that its size stays linear in the
+    # tuple count, (K-1)! when the memories are distinct
     tuples = list(itertools.product(*sizes))
     best = -math.inf
     for i in range(0, len(tuples), _TUPLES_PER_LP):
-        A_ub, b_ub, eq, bounds, rate_cols = [], [], [], [], []
+        A_ub, b_ub, A_eq, bounds, rate_cols = [], [], [], [], []
         for ts in tuples[i : i + _TUPLES_PER_LP]:
-            cols = []
+            cols, eq = [], []
             for (K0, dm), t in zip(layers, ts):
                 A, b, A_eq_t, _, _, ix = rows[K0, t]
-                eq.append((len(rate_cols), len(bounds), A_eq_t[0]))
+                eq.append(A_eq_t)
                 cols.append(len(bounds) + ix["R"])
                 bounds += _max_rate_bounds(cfg, K0, t, dm, ix["ntail"])
                 A_ub.append(A)
                 b_ub.append(b)
+            A_eq.append(np.hstack(eq))
             rate_cols.append(cols)
-        # one time-sharing row per tuple over its own columns
-        A_eq = np.zeros((len(rate_cols), len(bounds)))
-        for row, col0, coeffs in eq:
-            A_eq[row, col0 : col0 + len(coeffs)] = coeffs
         c = np.zeros(len(bounds))
         c[np.ravel(rate_cols)] = -1.0
         res = linprog(

@@ -461,26 +461,22 @@ def verify_schedule(
     schedule: PhaseSchedule,
     cfg: SystemConfig,
     margin: float = 1.0,
-    rounding_slack: int | None = None,
 ) -> VerifyReport:
     """Deterministic capacity check: for every phase p and every receiver
     j >= p, the unknown payload bits must fit inside
-    margin * budget_p * F * (1 - delta_j).
+    margin * budget_p * F * (1 - delta_j) plus F * (#items + 1) bits.
 
-    ``rounding_slack`` (bits) absorbs the provable floor/pad noise between
-    the rate-level constraint system and integer bit counts: each item is
-    padded up by less than F and the phase budget is floored by less than
-    one use, so the default allowance is F * (#items + 1) per phase.  Pass 0
-    for the literal comparison.
+    The F * (#items + 1) bits of a phase absorb the provable floor/pad noise
+    between the rate-level constraint system and integer bit counts: each
+    item is padded up by less than F and the phase budget is floored by
+    less than one use.
     """
     if not 0.0 < margin <= 1.0:
         raise ConfigError(f"margin must lie in (0, 1], got {margin}")
     rows = []
     ok = True
     for p, phase in enumerate(schedule.phases, start=1):
-        slack = (
-            cfg.F * (len(phase.items) + 1) if rounding_slack is None else rounding_slack
-        )
+        slack = cfg.F * (len(phase.items) + 1)
         for j in range(p, cfg.K + 1):
             unknown = sum(
                 it.padded_bits for it in phase.items if _counts_unknown(it, j)

@@ -122,6 +122,14 @@ __all__ = [
 SCHEMES = ("symmetric-2rx", "separate-asym-2rx", "joint-2rx", "general", "common-demand")
 DEFAULT_DEMAND_CAP = 64
 
+# each two-receiver scheme's rate (delta1, delta2, F, D, M) -> R, and the
+# cache sizes it gives the two receivers at sweep grid parameter M
+_TWO_RX = {
+    "symmetric-2rx": (two_rx_symmetric_rate, lambda M: (M, M)),
+    "separate-asym-2rx": (two_rx_separate_asym_rate, lambda M: (2 * M, 0.0)),
+    "joint-2rx": (lambda *args: two_rx_joint_rate(*args)[0], lambda M: (2 * M, 0.0)),
+}
+
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
     """Wilson 95% score interval; robust for small counts."""
@@ -180,10 +188,13 @@ def plan_scheme(
     operation; the simulated rate is backoff * nominal, and the phase
     fractions / piggyback rates are re-fit at that rate by maximizing the
     minimum constraint slack (negative when backoff > 1, which is how the
-    over-capacity experiments are driven).
+    over-capacity experiments are driven).  Only ``general`` takes
+    ``params``, whose K0 and t it keeps; any other scheme rejects them.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if params is not None and scheme != "general":
+        raise ConfigError(f"params apply to the general scheme only, not to {scheme!r}")
     if not (math.isfinite(backoff) and backoff > 0):
         raise ConfigError(f"backoff must be finite and positive, got {backoff}")
 
@@ -202,25 +213,20 @@ def plan_scheme(
             allocation=tuple(tuple(row) for row in witness),
         )
 
-    if scheme in ("symmetric-2rx", "separate-asym-2rx", "joint-2rx"):
+    if scheme in _TWO_RX:
         if cfg.K != 2:
             raise ConfigError(f"{scheme} requires K=2")
-        d1, d2, F, D = cfg.delta(1), cfg.delta(2), cfg.F, cfg.D
         if scheme == "symmetric-2rx":
             if abs(cfg.memories[0] - cfg.memories[1]) > 1e-9:
                 raise ConfigError("symmetric-2rx requires equal cache sizes")
             M_param = cfg.memories[0]
-            nominal = two_rx_symmetric_rate(d1, d2, F, D, M_param)
             K0, t, layout_M = 2, 1, M_param
         else:
             if cfg.memories[1] > 1e-12:
                 raise ConfigError(f"{scheme} requires an empty cache at receiver 2")
             M_param = cfg.memories[0] / 2.0
-            if scheme == "separate-asym-2rx":
-                nominal = two_rx_separate_asym_rate(d1, d2, F, D, M_param)
-            else:
-                nominal, _ = two_rx_joint_rate(d1, d2, F, D, M_param)
             K0, t, layout_M = 1, 1, cfg.memories[0]
+        nominal = _TWO_RX[scheme][0](cfg.delta(1), cfg.delta(2), cfg.F, cfg.D, M_param)
     else:  # general
         if params is not None:
             K0, t = params.K0, params.t
@@ -623,12 +629,14 @@ def run_trial(cfg: SystemConfig, scheme: str, params, demand, seed) -> list[bool
 
     ``params`` is a SchemePlan (see plan_scheme), an explicit
     SchemeParameters (used verbatim at the config rates), or None for
-    nominal-rate planning.  Returns per-receiver success flags; decode
-    failure is a result, never an exception.  ``seed`` is a non-negative
-    int or a sequence of them.
+    nominal-rate planning; a SchemePlan must be one for ``scheme``.  Returns
+    per-receiver success flags; decode failure is a result, never an
+    exception.  ``seed`` is a non-negative int or a sequence of them.
     """
     seed_material(seed)  # a seed that cannot be simulated fails before planning
     if isinstance(params, SchemePlan):
+        if params.scheme != scheme:
+            raise ConfigError(f"params is a plan for {params.scheme!r}, not for {scheme!r}")
         plan = params
     elif isinstance(params, SchemeParameters) and scheme != "common-demand":
         plan = _plan_from_parameters(cfg, scheme, params)
@@ -728,7 +736,8 @@ def estimate_pe(
     ``demand_cap``; otherwise ``demand_cap`` tuples are sampled uniformly
     (with replacement) once per experiment.  Run (demand index di, trial j)
     is seeded by (seed, di, j); trial j fails when any receiver fails for
-    any demand in that trial.  ``seed`` is a non-negative int.  Runs go
+    any demand in that trial.  ``params`` is a SchemePlan for ``scheme``,
+    or what ``plan_scheme`` takes.  ``seed`` is a non-negative int.  Runs go
     single-threaded; ``threads`` accepts only 1.
     """
     seed = check_seed(seed)
@@ -736,6 +745,8 @@ def estimate_pe(
     check_count("demand_cap", demand_cap)
     if threads != 1:
         raise ConfigError(f"threads must be 1 (runs are single-threaded), got {threads!r}")
+    if isinstance(params, SchemePlan) and params.scheme != scheme:
+        raise ConfigError(f"params is a plan for {params.scheme!r}, not for {scheme!r}")
     t0 = time.perf_counter()
     plan = params if isinstance(params, SchemePlan) else plan_scheme(cfg, scheme, backoff, params)
     size = cfg.demand_set.size(cfg.K, cfg.D)
@@ -797,12 +808,6 @@ def estimate_pe(
 
 SWEEP_FIELDS = ("M", "scheme", "R_analytical", "pe_hat", "ci_lo", "ci_hi", "n", "trials", "seed")
 
-_SWEEP_MEMORIES = {
-    "symmetric-2rx": lambda M: (M, M),
-    "separate-asym-2rx": lambda M: (2 * M, 0.0),
-    "joint-2rx": lambda M: (2 * M, 0.0),
-}
-
 
 def sweep(
     cfg: SystemConfig,
@@ -824,19 +829,14 @@ def sweep(
     seed = check_seed(seed)
     if cfg.K != 2:
         raise ConfigError("sweep covers the two-receiver schemes; K must be 2")
-    d1, d2, F, D = cfg.delta(1), cfg.delta(2), cfg.F, cfg.D
     rows = []
     for M in memory_grid:
         for scheme in schemes:
-            if scheme not in _SWEEP_MEMORIES:
-                raise ConfigError(f"sweep supports {sorted(_SWEEP_MEMORIES)}, got {scheme!r}")
+            if scheme not in _TWO_RX:
+                raise ConfigError(f"sweep supports {sorted(_TWO_RX)}, got {scheme!r}")
+            rate, memories = _TWO_RX[scheme]
             try:
-                if scheme == "symmetric-2rx":
-                    R = two_rx_symmetric_rate(d1, d2, F, D, M)
-                elif scheme == "separate-asym-2rx":
-                    R = two_rx_separate_asym_rate(d1, d2, F, D, M)
-                else:
-                    R = two_rx_joint_rate(d1, d2, F, D, M)[0]
+                R = rate(cfg.delta(1), cfg.delta(2), cfg.F, cfg.D, M)
             except OutOfRegimeError:
                 R = float("nan")
             row = {
@@ -851,7 +851,7 @@ def sweep(
                 "seed": seed,
             }
             if simulate and not math.isnan(R):
-                cfg_row = replace(cfg, memories=_SWEEP_MEMORIES[scheme](float(M)))
+                cfg_row = replace(cfg, memories=memories(float(M)))
                 rep = estimate_pe(
                     cfg_row,
                     scheme,

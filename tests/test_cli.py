@@ -29,21 +29,16 @@ def common_cfg(tmp_path):
     return str(path)
 
 
+_SWEEP = {
+    "K": 2, "D": 10, "F": 1, "deltas": [0.8, 0.2], "rates": [0.4] * 10,
+    "memories": [1.0, 1.0],
+}
+
+
 @pytest.fixture
 def sweep_cfg(tmp_path):
     path = tmp_path / "sweep.json"
-    path.write_text(
-        json.dumps(
-            {
-                "K": 2,
-                "D": 10,
-                "F": 1,
-                "deltas": [0.8, 0.2],
-                "rates": [0.4] * 10,
-                "memories": [1.0, 1.0],
-            }
-        )
-    )
+    path.write_text(json.dumps(_SWEEP))
     return str(path)
 
 
@@ -129,6 +124,32 @@ def test_region_sweep_csv(capsys, sweep_cfg):
     lines = out.splitlines()
     assert lines[0] == "M,scheme,R_analytical,pe_hat,ci_lo,ci_hi,n,trials,seed"
     assert len(lines) == 1 + 11 * 3  # grid 0..5 step 0.5, three schemes
+
+
+_SWEEP_SIM = {
+    "K": 2, "D": 2, "F": 8, "deltas": [0.8, 0.2], "rates": [1.0] * 2,
+    "memories": [0.0, 0.0], "n": 1200,
+}
+
+
+@pytest.mark.parametrize(
+    "config,argv,digest",
+    [
+        # past M = 4 every scheme is out of its regime and reads nan
+        (_SWEEP, ["--grid", "0:0.05:5"],
+         "a9d97774c57f89fa5216c05c6f9adb9b94276c261bafda782f34bcded99934a5"),
+        (_SWEEP_SIM,
+         ["--grid", "0:0.2:0.4", "--simulate", "--backoff", "0.9", "--trials", "4", "--seed", "1"],
+         "49f47312e5caf721859070dfad7c728c1a04b3bca4a5cabff6b22b2fc89b9a76"),
+    ],
+    ids=["analytic", "simulate"],
+)
+def test_region_sweep_csv_pinned(capsys, tmp_path, config, argv, digest):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, ["region-sweep", "--config", str(path), "--schemes", "all"] + argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_optimize_general_and_phase_lp(capsys, tmp_path):

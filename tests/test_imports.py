@@ -7,8 +7,10 @@ process that imports ``scipy.optimize`` too, before or after, shares one
 bindings module.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -103,3 +105,18 @@ def test_scipy_optimize_imported_first_shares_the_bindings():
     bindings scipy.optimize loaded, and its LP still matches scipy's."""
     got = run_fresh(f"import scipy.optimize\nimport cachebc\n{SHARED_LP}")
     assert_shared_lp(got)
+
+
+def test_every_exported_name_resolves():
+    """Each name in a ``cachebc.*`` module's ``__all__`` is an attribute of
+    that module, so deleting a name cannot leave a stale export behind."""
+    import cachebc
+
+    checked = set()
+    for info in pkgutil.iter_modules(cachebc.__path__):
+        module = importlib.import_module(f"cachebc.{info.name}")
+        if hasattr(module, "__all__"):
+            checked.add(info.name)
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert missing == [], (info.name, missing)
+    assert checked >= {"channel", "codec", "model", "placement", "regions", "schedule", "simulate"}

@@ -5,7 +5,6 @@ import pytest
 from cachebc import (
     ConfigError,
     DemandSet,
-    RateMemoryTuple,
     SchemeParameters,
     SystemConfig,
     config_from_json,
@@ -110,21 +109,6 @@ def test_full_product_is_lazy():
     assert big.size(8, 10) == 10**8
     it = big.iter_tuples(8, 10)
     assert next(it) == (1,) * 8
-
-
-def test_rate_memory_tuple_nonnegative():
-    RateMemoryTuple(rates=(1.0, 0.0), memories=(0.5,))
-    with pytest.raises(ConfigError):
-        RateMemoryTuple(rates=(-1.0,), memories=(0.5,))
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("field", ["rates", "memories"])
-def test_rate_memory_tuple_rejects_non_finite(field, bad):
-    entries = dict(rates=(1.0, 0.5), memories=(0.5,))
-    entries[field] = (0.5, bad)
-    with pytest.raises(ConfigError, match=field):
-        RateMemoryTuple(**entries)
 
 
 def test_scheme_parameters_validation():

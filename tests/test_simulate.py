@@ -125,6 +125,32 @@ def test_run_trial_with_explicit_parameters():
     assert all(run_trial(cfg, "general", params, (1, 2, 3), [4, 0, 0]))
 
 
+@pytest.mark.parametrize(
+    "call", ["plan_scheme", "estimate_pe", "run_trial", "estimate_pe-plan", "run_trial-plan"]
+)
+def test_params_the_scheme_would_ignore_are_rejected(call):
+    """Only general takes SchemeParameters in plan_scheme, and a SchemePlan
+    must be one for the scheme asked for.  plan_scheme used to drop params
+    for any other scheme, so estimate_pe ran joint-2rx at K0 = 1 when asked
+    for K0 = 2 and run_trial ran common-demand without its params; a plan
+    made for general ran as joint-2rx and reported general."""
+    from cachebc import SchemeParameters
+
+    cfg = cfg_joint(n=400)
+    params = SchemeParameters(K0=2, t=1, beta=(0.5, 0.5))
+    general = plan_scheme(cfg, "general", backoff=0.9)
+    common = replace(cfg, rates=(2.4, 1.2), demand_set=DemandSet(kind="common"))
+    calls = {
+        "plan_scheme": lambda: plan_scheme(cfg, "joint-2rx", params=params),
+        "estimate_pe": lambda: estimate_pe(cfg, "joint-2rx", params=params, trials=1),
+        "run_trial": lambda: run_trial(common, "common-demand", params, (1, 1), 0),
+        "estimate_pe-plan": lambda: estimate_pe(cfg, "joint-2rx", params=general, trials=1),
+        "run_trial-plan": lambda: run_trial(cfg, "joint-2rx", general, (1, 2), 0),
+    }
+    with pytest.raises(ConfigError, match="params"):
+        calls[call]()
+
+
 def test_common_demand_scheme_backoff_and_overload():
     cfg = SystemConfig(
         K=2, D=2, F=8, deltas=[0.8, 0.2], rates=[2.4, 1.2], memories=[0.8, 0.0],
