@@ -235,6 +235,16 @@ def build_prefix_caches(cfg: SystemConfig, allocation) -> np.ndarray:
 def draw_library(cfg: SystemConfig, seed) -> list[np.ndarray]:
     """Uniform library draw: message d gets floor(n * R_d) fair bits, from
     the library stream of ``seed`` (seed material, or that stream's
-    ``Stream``)."""
-    rng = stream_rng(seed, LIBRARY_STREAM)
-    return [rng.integers(0, 2, size=b, dtype=np.uint8) for b in message_lengths(cfg)]
+    ``Stream``).
+
+    The bits are those of one ``rng.integers(0, 2, size=b_d, dtype=uint8)``
+    call per message, taken from one raw draw: such a call returns the high
+    bit of each byte of the generator's uint32 stream, low byte first, and
+    starts on a fresh uint32 word, so message d reads the first b_d bytes
+    of its ceil(b_d / 4) words, which follow those of messages 1..d-1.
+    """
+    sizes = message_lengths(cfg)
+    starts = np.cumsum([0] + [4 * -(-b // 4) for b in sizes])  # byte offsets
+    raw = stream_rng(seed, LIBRARY_STREAM).bit_generator.random_raw(-(-int(starts[-1]) // 8))
+    bits = raw.astype("<u8", copy=False).view(np.uint8) >> 7
+    return [bits[s : s + b] for s, b in zip(starts, sizes)]

@@ -10,10 +10,11 @@ exact membership test for the single-common-demand region.
 
 All LPs are small.  They go through one entry point, ``linprog``, which
 builds HiGHS's column-wise model itself (the stacked unequal-cache LP from
-its dense per-layer blocks, so that it stays sparse) and solves it through
-scipy's bundled HiGHS bindings, in floating point at HiGHS's default
-feasibility tolerance (1e-7); the membership tests allow a slack of
-TOL = 1e-9.
+its dense per-layer blocks, so that it stays sparse) and hands it, as
+arrays, to one HiGHS solver per thread, kept for the thread's life through
+scipy's bundled HiGHS bindings.  HiGHS solves in floating point at its
+default feasibility tolerance (1e-7); the membership tests allow a slack
+of TOL = 1e-9.
 
 The bindings are the compiled module ``scipy.optimize._highspy._core``,
 loaded from its file in scipy's package directory under that name: running
@@ -31,6 +32,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -126,6 +128,21 @@ class LPResult(NamedTuple):
     fun: float | None
 
 
+_thread = threading.local()
+
+
+def _solver():
+    """This thread's HiGHS solver, made on first use with its output off.
+    ``passModel`` clears the previous model, its solution and its basis, so
+    each LP is solved as by a fresh solver."""
+    try:
+        return _thread.solver
+    except AttributeError:
+        solver = _thread.solver = highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        return solver
+
+
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     """Minimize ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
     and ``bounds``, one (low, high) pair per variable with None for no bound
@@ -133,10 +150,11 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     blocks, read as the block-diagonal matrix they form.
 
     The module's one LP entry point.  It builds HiGHS's column-wise model
-    itself, the inequality rows then the equality rows, and solves it through
-    scipy's bundled HiGHS bindings with HiGHS's output off and its other
-    options at their defaults: the model, and so the solution, that scipy's
-    ``linprog`` and ``milp`` give, without their per-call input handling.
+    itself, the inequality rows then the equality rows, and passes it as
+    arrays to this thread's HiGHS solver (scipy's bundled bindings), with
+    HiGHS's output off and its other options at their defaults: the model,
+    and so the solution, that scipy's ``linprog`` and ``milp`` give, without
+    their per-call input handling (or a fresh solver's: see ``_solver``).
     An LP found infeasible is solved again without presolve, which decides.
     Returns an LPResult: scipy's ``status`` code, ``success``, ``message``,
     and ``x`` and ``fun`` (None unless solved), the attributes of scipy's
@@ -188,27 +206,21 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
         raise ValueError("the LP's costs must be finite")
     cols = np.concatenate(cols)
     order = np.argsort(cols, kind="stable")
-
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.col_cost_ = c
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
-    lp.row_lower_ = row_lb
-    lp.row_upper_ = row_ub
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    lp.a_matrix_.index_ = np.concatenate(rows)[order]
-    lp.a_matrix_.value_ = np.concatenate(vals)[order]
+    start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n)))).astype(np.int32)
+    index = np.concatenate(rows)[order].astype(np.int32)
+    value = np.concatenate(vals)[order]
+    solver = _solver()
     # HiGHS's presolve calls some feasible LPs infeasible (a receiver always
     # erased and a cap on r_c between about 5e-8 and 1e-7, its feasibility
     # tolerance), so the simplex without presolve confirms such a verdict
     for presolve in ("choose", "off"):
-        solver = highs._Highs()
-        solver.setOptionValue("output_flag", False)
         solver.setOptionValue("presolve", presolve)
-        if solver.passModel(lp) == highs.HighsStatus.kError:
+        # every variable continuous: HiGHS rejects an empty integrality array
+        passed = solver.passModel(
+            n, m, len(value), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+            c, lb, ub, row_lb, row_ub, start, index, value, np.zeros(n, np.int32),
+        )
+        if passed == highs.HighsStatus.kError:
             raise ValueError("HiGHS rejected the LP")
         solver.run()
         model_status = solver.getModelStatus()

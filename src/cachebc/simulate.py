@@ -724,7 +724,7 @@ def estimate_pe(
     cfg: SystemConfig,
     scheme: str,
     params=None,
-    backoff: float = 0.9,
+    backoff: float | None = None,
     trials: int = 100,
     seed: int = 0,
     demand_cap: int = DEFAULT_DEMAND_CAP,
@@ -737,7 +737,9 @@ def estimate_pe(
     (with replacement) once per experiment.  Run (demand index di, trial j)
     is seeded by (seed, di, j); trial j fails when any receiver fails for
     any demand in that trial.  ``params`` is a SchemePlan for ``scheme``,
-    or what ``plan_scheme`` takes.  ``seed`` is a non-negative int.  Runs go
+    or what ``plan_scheme`` takes.  ``backoff`` defaults to 0.9 when
+    ``estimate_pe`` plans, and to the plan's own when given a plan; a plan
+    rejects any other.  ``seed`` is a non-negative int.  Runs go
     single-threaded; ``threads`` accepts only 1.
     """
     seed = check_seed(seed)
@@ -745,10 +747,15 @@ def estimate_pe(
     check_count("demand_cap", demand_cap)
     if threads != 1:
         raise ConfigError(f"threads must be 1 (runs are single-threaded), got {threads!r}")
-    if isinstance(params, SchemePlan) and params.scheme != scheme:
-        raise ConfigError(f"params is a plan for {params.scheme!r}, not for {scheme!r}")
     t0 = time.perf_counter()
-    plan = params if isinstance(params, SchemePlan) else plan_scheme(cfg, scheme, backoff, params)
+    if isinstance(params, SchemePlan):
+        if params.scheme != scheme:
+            raise ConfigError(f"params is a plan for {params.scheme!r}, not for {scheme!r}")
+        if backoff is not None and backoff != params.backoff:
+            raise ConfigError(f"backoff {backoff} differs from the plan's {params.backoff}")
+        plan = params
+    else:
+        plan = plan_scheme(cfg, scheme, 0.9 if backoff is None else backoff, params)
     size = cfg.demand_set.size(cfg.K, cfg.D)
     if size <= demand_cap:
         demands = list(cfg.demand_set.iter_tuples(cfg.K, cfg.D))

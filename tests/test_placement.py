@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachebc import (
     CapacityError,
@@ -16,6 +18,8 @@ from cachebc import (
     estimate_pe,
     sub_message_layout,
 )
+from cachebc._seeding import LIBRARY_STREAM, block_streams, stream_rng
+from cachebc.placement import message_lengths
 from cachebc.schedule import flat_library
 
 
@@ -227,6 +231,27 @@ def test_library_draw_deterministic():
     c = draw_library(cfg, 43)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    rates=st.lists(
+        st.sampled_from([0.0, 0.004, 0.01, 0.33, 0.5, 0.77, 1.0, 1.3]), min_size=1, max_size=6
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    as_stream=st.booleans(),
+)
+def test_library_draw_matches_one_integers_call_per_message(n, rates, seed, as_stream):
+    """The one raw draw gives the bits of one rng.integers call per message,
+    for any message lengths: 0, short, and not a multiple of 4."""
+    cfg = SystemConfig(K=1, D=len(rates), F=1, deltas=[0.5], rates=rates, memories=[0.0], n=n)
+    source = block_streams([[seed]], [(LIBRARY_STREAM,)])[0][0] if as_stream else seed
+    got = draw_library(cfg, source)
+    rng = stream_rng(source, LIBRARY_STREAM)
+    want = [rng.integers(0, 2, size=b, dtype=np.uint8) for b in message_lengths(cfg)]
+    assert [w.dtype for w in got] == [np.uint8] * len(rates)
+    assert [w.tolist() for w in got] == [w.tolist() for w in want]
 
 
 def test_library_bound_is_checked_on_the_lengths_alone():

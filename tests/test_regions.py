@@ -7,6 +7,8 @@ the defining inequalities) before being asserted against the closed forms.
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -129,6 +131,159 @@ def test_linprog_rejects_malformed_models():
         regions.linprog(c, A_eq=[np.eye(2), np.ones((1, 1))], b_eq=np.ones(3))
     with pytest.raises(ValueError, match="2-D"):
         regions.linprog(c, A_ub=[[1.0, 0.0]], b_ub=np.ones(1))
+
+
+class FreshSolverPerAttempt:
+    """The reference in place of the thread's solver: each attempt's model
+    goes to a new ``_Highs`` as a ``HighsLp`` built from passModel's
+    arrays, with the options set so far."""
+
+    def __init__(self):
+        self.options = {"output_flag": False}
+
+    def setOptionValue(self, name, value):
+        self.options[name] = value
+
+    def passModel(
+        self, n, m, nnz, fmt, sense, offset, c, lb, ub, row_lb, row_ub, start, index, value,
+        integrality,
+    ):
+        assert (nnz, offset, sense) == (len(value), 0.0, regions.highs.ObjSense.kMinimize)
+        assert not np.asarray(integrality).any()
+        lp = regions.highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = m
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+        lp.row_lower_, lp.row_upper_ = row_lb, row_ub
+        lp.a_matrix_.format_ = fmt
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+        self.solver = regions.highs._Highs()
+        for name, setting in self.options.items():
+            self.solver.setOptionValue(name, setting)
+        return self.solver.passModel(lp)
+
+    def __getattr__(self, name):
+        return getattr(self.solver, name)
+
+
+def _planning_lp(kind, seed):
+    """One LP as the planning code poses it, made from ``seed``: a phase LP
+    at its largest rate, a slack fit (rate pinned, slack free), a phase LP
+    with the rate pinned and no slack (infeasible when the rate is too
+    high), one of the stacked unequal-cache LPs, an LP that presolve calls
+    infeasible and the simplex solves, or one with a NaN bound."""
+    rng = np.random.default_rng(seed)
+    if kind == "nan":
+        return np.zeros(2), {"A_ub": np.eye(2), "b_ub": np.array([np.nan, 1.0])}
+    if kind == "unequal":
+        stacked, solve = [], regions.linprog
+        capture = lambda c, **kw: stacked.append((c, kw)) or solve(c, **kw)  # noqa: E731
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions, "linprog", capture)
+            unequal_cache_max_rate(random_unequal_cfg(rng, int(rng.integers(2, 6))))
+        return stacked[int(rng.integers(len(stacked)))]
+    if kind == "presolve-infeasible":
+        M = float(rng.uniform(5.1e-8, 1e-7))
+        cfg = SystemConfig(K=2, D=1, F=1, deltas=(1.0, 0.0), rates=[1.0], memories=(1.0, M))
+        K0, t, rate = 2, 1, 0.0
+    else:
+        cfg = random_unequal_cfg(rng, int(rng.integers(2, 5)))
+        K0 = int(rng.integers(1, cfg.K + 1))
+        t = int(rng.integers(1, max(K0, 2)))
+        M, rate = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 1.0))
+    A, b, A_eq, b_eq, nv, ix = regions._phase_lp_rows(cfg, K0, t)
+    max_rate = regions._max_rate_bounds(cfg, K0, t, M, ix["ntail"])
+    col, bounds = {
+        "phase": (ix["R"], max_rate),
+        "presolve-infeasible": (ix["R"], max_rate),
+        "slack": (ix["S"], [(rate, rate)] + max_rate[1:-1] + [(None, None)]),
+        "pinned": (ix["R"], [(rate, rate)] + max_rate[1:]),
+    }[kind]
+    c = np.zeros(nv)
+    c[col] = -1.0
+    return c, {"A_ub": A, "b_ub": b, "A_eq": A_eq, "b_eq": b_eq, "bounds": bounds}
+
+
+def _solve_in_order(lps):
+    """Each LP's status, message, x bytes and objective bits, or the
+    message of the ValueError it raised."""
+    out = []
+    for c, kw in lps:
+        try:
+            res = regions.linprog(c, **kw)
+        except ValueError as exc:
+            out.append(str(exc))
+        else:
+            x = None if res.x is None else res.x.tobytes()
+            out.append((res.status, res.message, x, None if res.fun is None else res.fun.hex()))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sequence=st.lists(
+        st.tuples(
+            st.sampled_from(["phase", "slack", "pinned", "unequal", "presolve-infeasible"]),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=2,
+        max_size=10,
+    ),
+    nan_at=st.integers(0, 10),
+)
+def test_reused_solver_gives_a_fresh_solvers_bits(sequence, nan_at):
+    """linprog keeps one HiGHS solver per thread and hands it each model as
+    arrays.  In any order of planning LPs, with an LP HiGHS rejects partway
+    through, it gives the status, x bytes and objective of a fresh solver
+    per attempt fed a HighsLp; so does a second thread, on its own solver."""
+    lps = [_planning_lp(kind, seed) for kind, seed in sequence]
+    lps.insert(min(nan_at, len(lps)), _planning_lp("nan", 0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_solver", FreshSolverPerAttempt)
+        want = _solve_in_order(lps)
+    assert "HiGHS rejected the LP" in want
+    assert _solve_in_order(lps) == want
+
+    got, solvers = {}, {}
+
+    def second_thread():
+        solvers["thread"] = regions._solver()
+        got["thread"] = _solve_in_order(lps[::-1])
+
+    thread = threading.Thread(target=second_thread)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert got["thread"] == want[::-1]
+    assert solvers["thread"] is not regions._solver()
+    assert regions._solver() is regions._solver()
+
+
+def test_threads_solving_at_once_keep_their_own_solvers():
+    """Four threads on two cores solve the same LPs at once, switching every
+    microsecond; each gets the serial bits, which a solver shared across
+    threads loses when one thread passes its model between another's
+    passModel and run."""
+    kinds = ["phase", "slack", "pinned", "unequal", "presolve-infeasible"]
+    lps = [_planning_lp(kinds[i % 5], i) for i in range(20)]
+    want = _solve_in_order(lps)
+    got = {}
+
+    def solve(k):
+        got[k] = _solve_in_order(lps)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {k: want for k in range(4)}
 
 
 # -- two-receiver tradeoffs ---------------------------------------------------

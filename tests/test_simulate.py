@@ -151,6 +151,20 @@ def test_params_the_scheme_would_ignore_are_rejected(call):
         calls[call]()
 
 
+def test_a_plan_rejects_another_backoff():
+    """estimate_pe ran a plan at the plan's backoff and reported it, whatever
+    backoff it was passed.  Now a plan takes its own backoff by default and
+    rejects a different one; without a plan the default is 0.9."""
+    cfg = cfg_joint(n=400)
+    plan = plan_scheme(cfg, "joint-2rx", backoff=0.9)
+    with pytest.raises(ConfigError, match="^backoff 1.1 differs"):
+        estimate_pe(cfg, "joint-2rx", params=plan, backoff=1.1, trials=1)
+    over = plan_scheme(cfg, "joint-2rx", backoff=1.1)
+    for backoff in (None, 1.1):
+        assert estimate_pe(cfg, "joint-2rx", over, backoff, trials=1).backoff == 1.1
+    assert estimate_pe(cfg, "joint-2rx", trials=1).rates_sim == plan.cfg_sim.rates
+
+
 def test_common_demand_scheme_backoff_and_overload():
     cfg = SystemConfig(
         K=2, D=2, F=8, deltas=[0.8, 0.2], rates=[2.4, 1.2], memories=[0.8, 0.0],
