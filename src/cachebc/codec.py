@@ -109,7 +109,10 @@ def encode_payloads(blocks, count: int, phase_id: int, seed) -> np.ndarray:
 # -- batched bit-packed GF(2) elimination ------------------------------------
 
 _FIRST_ATTEMPT_EXTRA = 16  # the first solve uses the first u + 16 packets listed
-_KERNEL_WORDS = 1 << 18  # packed words one elimination pass holds (2 MiB)
+# packed words one elimination pass holds (4 MiB): one criterion-5 call's
+# 44 systems of its one decoding level (about 280k words) stay one chunk,
+# since each chunk pays a fixed per-strip cost before any per-system work
+_KERNEL_WORDS = 1 << 19
 
 
 class _System(NamedTuple):

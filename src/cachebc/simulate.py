@@ -4,29 +4,33 @@ Every scheme runs through one trial loop; only the set-up differs: subset
 caches and K phases of XOR groups, plain parts and piggyback slices for the
 XOR schemes, prefix caches and one phase over the demanded message for the
 common-demand scheme.  Neither depends on the library, so an experiment
-makes them once; the XOR schemes compile one schedule per equality pattern
-of the demands and move it onto each demand's messages.  A trial draws a
-uniform library, gathers each phase's source blocks and draws the erasures
-of every channel use; the channel's erasures do not depend on the packets,
-so no packet is encoded before a decoder reads it.  Each receiver then
-decodes with the blocks it knows (the decoder encodes, over the phase's
-blocks less the ones the receiver knows, just the packets it reads),
-absorbs (un-XORs) what it decoded, and compares the demanded message bit
-for bit.  A receiver's bookkeeping works on a phase's spans, each a
-contiguous library range on contiguous rows of one gather column: a block
-is known when every span its rows touch is, and an XOR group yields its one
-missing constituent span.  Trials run in blocks, phase-major: a block's
-runs are all drawn first, then each phase is decoded at every run's
-receivers in one batched call before the next phase.  A block holds as many
-runs as fit in ``_BLOCK_BYTES`` (16 MiB) of run state
-(``_Delivery.run_bytes``); a run larger than that is a block of its own.
-A block derives the Philox keys of all the streams it draws in one pass and
-draws each by re-keying one generator it holds (``_seeding.block_streams``),
-which gives the values ``derived_rng`` gives for the same seed and tags.
-The error probability is estimated over the union of all feasible demands:
-trial j fails when any receiver fails for any demand, with run (demand
-index, j) seeded by (base seed, demand index, j) so results are
-bit-identical regardless of execution order or blocking.
+makes them once.  The XOR schemes compile one template per equality pattern
+of the demands, over the pattern's first-appearance labels, and each run
+lays its messages out in that label order, so every demand of a pattern
+runs on its template as it is.  A trial draws a uniform library, gathers
+each phase's source blocks and draws the erasures of every channel use; the
+channel's erasures do not depend on the packets, so no packet is encoded
+before a decoder reads it.  Each receiver then decodes with the blocks it
+knows (the decoder encodes, over the phase's blocks less the ones the
+receiver knows, just the packets it reads), absorbs (un-XORs) what it
+decoded, and compares the demanded message bit for bit.  A receiver's
+bookkeeping works on a phase's spans, each a contiguous library range on
+contiguous rows of one gather column: a block is known when every span its
+rows touch is, and an XOR group yields its one missing constituent span.
+Trials run in blocks, level-major: a block's runs are all drawn first, then
+the phases are decoded by dependency level (a phase that overlaps no
+earlier phase is at level 0, any other one level above the highest earlier
+phase it overlaps), every phase of a level at every run's receivers in one
+batched call, before the next level.  A block holds as many runs as fit in
+``_BLOCK_BYTES`` (16 MiB) of run state (``_Delivery.run_bytes``); a run
+larger than that is a block of its own.  A block derives the Philox keys of
+all the streams it draws in one pass and draws each by re-keying one
+generator it holds (``_seeding.block_streams``), which gives the values
+``derived_rng`` gives for the same seed and tags.  The error probability is
+estimated over the union of all feasible demands: trial j fails when any
+receiver fails for any demand, with run (demand index, j) seeded by (base
+seed, demand index, j) so results are bit-identical regardless of execution
+order or blocking.
 
 A receiver whose message is provably lost is not decoded further.  The
 library-free knowledge pass (``_outlook``) runs ``_reception``'s
@@ -179,6 +183,15 @@ def _equal_cache_pattern(cfg: SystemConfig) -> tuple[int, float]:
     return K0, M
 
 
+def _backed_off(backoff: float, rates) -> tuple[float, ...]:
+    """``rates`` times ``backoff``; a product that overflows is a
+    ConfigError naming ``backoff``."""
+    out = tuple(backoff * r for r in rates)
+    if not all(math.isfinite(r) for r in out):
+        raise ConfigError(f"backoff must keep the rates finite, got {backoff} times {tuple(rates)}")
+    return out
+
+
 def plan_scheme(
     cfg: SystemConfig, scheme: str, backoff: float = 1.0, params: SchemeParameters | None = None
 ) -> SchemePlan:
@@ -204,7 +217,7 @@ def plan_scheme(
         inside, witness = common_demand_contains(cfg)
         if not inside:
             raise ConfigError("nominal rates lie outside the common-demand region")
-        rates_sim = tuple(backoff * r for r in cfg.rates)
+        rates_sim = _backed_off(backoff, cfg.rates)
         return SchemePlan(
             scheme=scheme,
             backoff=backoff,
@@ -242,7 +255,7 @@ def plan_scheme(
         else:
             nominal = phase_lp_max_rate(cfg, K0, layout_M, t).rate
 
-    rate_sim = backoff * nominal
+    (rate_sim,) = _backed_off(backoff, (nominal,))
     force_zero = scheme == "separate-asym-2rx"
     fit = max_min_slack_assignment(cfg, K0, layout_M, t, rate_sim, force_zero)
     if cfg.n is not None:
@@ -277,55 +290,127 @@ def plan_scheme(
 _BLOCK_BYTES = 16 << 20  # run state a block of runs decoded together may hold
 
 
+def _decoded(k: int, phases) -> range:
+    """The numbers of the ``phases`` receiver k decodes: phase q reaches
+    receivers q..K, so k decodes phases 1..k."""
+    return range(1, min(k, len(phases)) + 1)
+
+
+def _levels(phases, size: int) -> tuple[tuple[int, ...], ...]:
+    """The numbers of the nonempty ``phases``, level by level, each level in
+    phase order.  Phase q's dependency level is 0 when no earlier phase's
+    spans overlap its own, else one more than the highest level among the
+    earlier phases it overlaps; ``size`` is the library's length in bits
+    plus one.  Phases of one level share no library bit."""
+    top = np.zeros(size, np.min_scalar_type(len(phases)))  # 1 + the highest level over each bit
+    levels = []
+    for q, phase in enumerate(phases, start=1):
+        at = phase.gather[phase.gather != PAD]  # the phase's spans, bit by bit
+        if not len(at):
+            continue
+        level = int(top[at].max())
+        top[at] = level + 1
+        if level == len(levels):
+            levels.append([])
+        levels[level].append(q)
+    return tuple(map(tuple, levels))
+
+
+@dataclass(eq=False)
+class _Pattern:
+    """One compiled schedule, shared by every demand of its pattern.
+
+    ``phases`` are over library positions: a run lays its messages out so
+    that position ``labels[k-1]`` holds receiver k's message
+    (``_library_order``).  ``levels`` are the phase numbers of each
+    dependency level (``_levels``) and ``readers[q-1]`` the receivers that
+    decode phase q (``_decoded``).  ``outlook`` is the knowledge pass, made
+    when a run first consults it (``_Delivery.outlook``)."""
+
+    phases: tuple[PhaseIndex, ...]
+    labels: tuple[int, ...]
+    levels: tuple[tuple[int, ...], ...]
+    readers: tuple[tuple[int, ...], ...]
+    outlook: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _pattern(phases, labels, cached: np.ndarray) -> _Pattern:
+    """The ``_Pattern`` of ``phases`` and ``labels`` over the cached masks
+    ``cached`` of K receivers."""
+    K, size = cached.shape
+    readers = [[] for _ in phases]
+    for k in range(1, K + 1):
+        for q in _decoded(k, phases):
+            readers[q - 1].append(k)
+    return _Pattern(phases, tuple(labels), _levels(phases, size), tuple(map(tuple, readers)))
+
+
+def _library_order(labels, demand, D: int) -> list[int]:
+    """The messages of a run's library, position by position: position
+    ``labels[k-1]`` holds receiver k's message ``demand[k-1]``, and the
+    other positions hold the messages nobody demands, in increasing order."""
+    at = dict(zip(labels, demand))
+    rest = iter(sorted(set(range(1, D + 1)).difference(demand)))
+    return [at[p] if p in at else next(rest) for p in range(1, D + 1)]
+
+
 @dataclass(frozen=True)
 class _Delivery:
     """The trials of one experiment, whatever the scheme.
 
-    Message d spans ``offsets[d-1]:offsets[d]`` of the flat library
+    Library position p spans ``offsets[p-1]:offsets[p]`` of the flat library
     (``flat_library``); ``cached`` are the receivers' cached-bit masks over
-    it and ``compile(demand)`` gives a demand's phases.  An experiment makes
-    these once.  Receiver k's knowledge is bit values and a known mask over
-    the flat library, seeded from its cache and grown by phases 1..k.
-    ``outlook(demand)`` is the knowledge pass (``_outlook``) of a compiled
-    demand, made when a run first consults it.
+    it and ``compile(demand)`` gives a demand's ``_Pattern``.  An experiment
+    makes these once.  Receiver k's knowledge is bit values and a known mask
+    over the flat library, seeded from its cache and grown by the phases it
+    decodes (``_decoded``).
     """
 
     cfg: SystemConfig
     cached: np.ndarray  # (K, library bits + 1)
     offsets: tuple[int, ...]
-    compile: Callable[..., tuple[PhaseIndex, ...]]
-    outlook: Callable[..., tuple[np.ndarray, np.ndarray]]
+    compile: Callable[..., _Pattern]
 
-    def run_bytes(self, phases: tuple[PhaseIndex, ...]) -> int:
-        """The state ``run`` holds for one run over ``phases``: its library,
+    def run_bytes(self, pattern: _Pattern) -> int:
+        """The state ``run`` holds for one run of ``pattern``: its library,
         K known masks and K value rows over it, the phases' source blocks and
         the erasures of all K receivers over every channel use."""
         K, L = self.cached.shape
-        return (2 * K + 1) * L + sum(len(ph.gather) + K * ph.budget_uses for ph in phases)
+        return (2 * K + 1) * L + sum(len(ph.gather) + K * ph.budget_uses for ph in pattern.phases)
 
-    def _send(self, phases: tuple[PhaseIndex, ...], streams):
+    def outlook(self, pattern: _Pattern) -> tuple[np.ndarray, np.ndarray]:
+        """The knowledge pass (``_outlook``) of ``pattern``, made once."""
+        if pattern.outlook is None:
+            pattern.outlook = _outlook(
+                self.cached, pattern.phases, pattern.labels, self.offsets, self.cfg.F
+            )
+        return pattern.outlook
+
+    def _send(self, pattern: _Pattern, demand, streams):
         """Draw a run's library and the erasures of all its channel uses
         from its library and channel ``streams``.  Returns the flat library,
-        each phase's (B, F) source blocks, the erasures, and the channel
-        uses of each phase (phase p owns ``uses[p-1]:uses[p]``).  Nothing
-        is encoded here: ``codec.decode_batch`` takes the source blocks and
-        encodes the packets it reads."""
+        its messages in ``_library_order``, each phase's (B, F) source
+        blocks, the erasures, and the channel uses of each phase (phase p
+        owns ``uses[p-1]:uses[p]``).  Nothing is encoded here:
+        ``codec.decode_batch`` takes the source blocks and encodes the
+        packets it reads."""
         cfg, F = self.cfg, self.cfg.F
-        library = flat_library(draw_library(cfg, streams[0]))
-        blocks = [gather_bits(library, phase.gather).reshape(-1, F) for phase in phases]
+        drawn = draw_library(cfg, streams[0])
+        library = flat_library([drawn[d - 1] for d in _library_order(pattern.labels, demand, cfg.D)])
+        blocks = [gather_bits(library, phase.gather).reshape(-1, F) for phase in pattern.phases]
         uses = [0]
-        for phase in phases:
+        for phase in pattern.phases:
             uses.append(uses[-1] + phase.budget_uses)
         return library, blocks, erasures(uses[-1], cfg.deltas, streams[1]), uses
 
-    def _lookahead(self, phases, demand, blocks, erased, uses) -> list[bool]:
+    def _lookahead(self, pattern: _Pattern, blocks, erased, uses) -> list[bool]:
         """Which receivers of one run are doomed before any decode: receiver
         k, with two or more phases to decode, receives fewer packets of one
         of them than the fewest unknown blocks it can have there, and its
         message is incomplete without that phase (``_doomed``).  A phase is
         only looked up in the pass when k receives fewer packets of it than
         it has blocks, the pass's upper bound."""
-        K, P = self.cfg.K, len(phases)
+        K, P = self.cfg.K, len(pattern.phases)
         sizes = [len(b) for b in blocks]
         # the uses of each phase that each receiver misses; reduceat needs
         # rising starts, so a phase without uses is left out of it
@@ -336,31 +421,34 @@ class _Delivery:
             missed[:, used] = np.add.reduceat(erased.view(np.uint8), starts, axis=1, dtype=np.int64)
         missed = missed.tolist()
         doomed = [False] * K
-        outlook = None
-        for k in range(2, K + 1):
-            mine = [q for q in range(1, min(k, P) + 1) if sizes[q - 1]]
+        for k in range(1, K + 1):
+            mine = [q for q in _decoded(k, pattern.phases) if sizes[q - 1]]
             if len(mine) < 2:
                 continue  # a lone phase's short reception fails without a solve
             for q in mine:
                 received = uses[q] - uses[q - 1] - missed[k - 1][q - 1]
-                if received < sizes[q - 1]:
-                    outlook = self.outlook(demand) if outlook is None else outlook
-                    if _doomed(outlook, k, q, received):
-                        doomed[k - 1] = True
-                        break
+                if received < sizes[q - 1] and _doomed(self.outlook(pattern), k, q, received):
+                    doomed[k - 1] = True
+                    break
         return doomed
 
     def run(self, runs) -> list[list[bool]]:
-        """Per-receiver success flags of each (phases, demand, seed) run.
+        """Per-receiver success flags of each (pattern, demand, seed) run.
 
-        The runs go phase-major: every run's library and erasures are drawn
-        first; then phase by phase, phase p is decoded at receivers p..K of
-        every run in one ``codec.decode_batch`` call and absorbed before
-        phase p+1.  Receivers are independent, so each sees exactly what a
-        run on its own would give it.  The keys of every stream the block
-        draws (each run's library and channel streams and the codec stream
-        of each of its phases) are derived in one pass, and every draw
-        re-keys one generator that this call holds (``block_streams``).
+        The runs go level-major: every run's library and erasures are drawn
+        first; then, dependency level by level (``_levels``), every phase at
+        that level is decoded at its live receivers of every run in one
+        ``codec.decode_batch`` call, and the results are absorbed run by
+        run, in phase order, before the next level.  This gives each
+        receiver exactly what decoding phase after phase would: an absorb
+        writes only inside its phase's spans and a reception reads only
+        there, so phases whose spans do not overlap commute, and a phase
+        comes after every earlier phase it overlaps.  Receivers are
+        independent, so each sees exactly what a run on its own would give
+        it.  The keys of every stream the block draws (each run's library
+        and channel streams and the codec stream of each of its phases) are
+        derived in one pass, and every draw re-keys one generator that this
+        call holds (``block_streams``).
 
         A doomed receiver (``_doomed``) gets no further reception and no
         decoder system, and its flag is False.  The erasures decide before
@@ -369,47 +457,50 @@ class _Delivery:
         receiver when the message is incomplete without it.  This is exact:
         a doomed receiver's real knowledge is a subset of what the
         knowledge pass gives it with the lost phase left out, so it would
-        fail; and the other receivers' systems and coefficient rows, drawn
-        by packet index, do not change."""
+        fail, even where a later phase of its level was already decoded;
+        and the other receivers' systems and coefficient rows, drawn by
+        packet index, do not change."""
         cfg, F = self.cfg, self.cfg.F
         tags = [(LIBRARY_STREAM,), (CHANNEL_STREAM,)]
         tags += [(CODEC_STREAM, p) for p in range(1, cfg.K + 1)]
         streams = block_streams([seed_material(seed) for _, _, seed in runs], tags)
-        sent = [self._send(phases, own) for (phases, _, _), own in zip(runs, streams)]
+        sent = [self._send(pattern, demand, own) for (pattern, demand, _), own in zip(runs, streams)]
         known = [self.cached.copy() for _ in runs]  # row k-1: receiver k
         values = [library * mask for (library, *_), mask in zip(sent, known)]
         doomed = [
-            self._lookahead(phases, demand, blocks, erased, uses)
-            for (phases, demand, _), (_, blocks, erased, uses) in zip(runs, sent)
+            self._lookahead(pattern, blocks, erased, uses)
+            for (pattern, _, _), (_, blocks, erased, uses) in zip(runs, sent)
         ]
-        for p in range(1, cfg.K + 1):
+        for level in range(max(len(pattern.levels) for pattern, _, _ in runs)):
             groups, owners = [], []
-            for r, (phases, _, _) in enumerate(runs):
-                if p > len(phases) or len(phases[p - 1].gather) == 0:
-                    continue
-                live = [k for k in range(p, cfg.K + 1) if not doomed[r][k - 1]]
-                if not live:
-                    continue
-                phase, (_, blocks, erased, uses) = phases[p - 1], sent[r]
-                B = len(blocks[p - 1])
-                span = slice(uses[p - 1], uses[p])
-                receptions = [
-                    _reception(phase, B, F, values[r][k - 1], known[r][k - 1], erased[k - 1, span])
-                    for k in live
-                ]
-                groups.append((blocks[p - 1], p, streams[r][p + 1], receptions))
-                owners.append((r, live))
-            for (r, live), results in zip(owners, codec.decode_batch(groups)):
-                phases, demand, _ = runs[r]
+            for r, (pattern, _, _) in enumerate(runs):
+                _, blocks, erased, uses = sent[r]
+                for q in pattern.levels[level] if level < len(pattern.levels) else ():
+                    live = [k for k in pattern.readers[q - 1] if not doomed[r][k - 1]]
+                    if not live:
+                        continue
+                    phase, B = pattern.phases[q - 1], len(blocks[q - 1])
+                    span = slice(uses[q - 1], uses[q])
+                    receptions = [
+                        _reception(phase, B, F, values[r][k - 1], known[r][k - 1], erased[k - 1, span])
+                        for k in live
+                    ]
+                    groups.append((blocks[q - 1], q, streams[r][q + 1], receptions))
+                    owners.append((r, q, live))
+            for (r, q, live), results in zip(owners, codec.decode_batch(groups)):
+                pattern = runs[r][0]
+                phases = pattern.phases
                 for k, result in zip(live, results):
+                    if doomed[r][k - 1]:
+                        continue  # doomed by an earlier phase of this level
                     if result.ok:
                         decoded = result.blocks.reshape(-1)
-                        _absorb(phases[p - 1], decoded, values[r][k - 1], known[r][k - 1])
-                    elif any(len(ph.gather) for ph in phases[p:k]):
-                        doomed[r][k - 1] = _doomed(self.outlook(demand), k, p)
+                        _absorb(phases[q - 1], decoded, values[r][k - 1], known[r][k - 1])
+                    elif any(len(phases[s - 1].gather) for s in _decoded(k, phases) if s > q):
+                        doomed[r][k - 1] = _doomed(self.outlook(pattern), k, q)
         flags = []
-        for (_, demand, _), (library, *_), vals, kn, lost in zip(runs, sent, values, known, doomed):
-            msgs = [slice(self.offsets[d - 1], self.offsets[d]) for d in demand]
+        for (pattern, _, _), (library, *_), vals, kn, lost in zip(runs, sent, values, known, doomed):
+            msgs = [slice(self.offsets[label - 1], self.offsets[label]) for label in pattern.labels]
             flags.append([
                 not lost[k] and bool(kn[k, m].all()) and np.array_equal(vals[k, m], library[m])
                 for k, m in enumerate(msgs)
@@ -429,10 +520,11 @@ def _doomed(outlook, k: int, q: int, received: int | None = None) -> bool:
     return bool(lost and not spare[k - 1, q - 1])
 
 
-def _outlook(cached: np.ndarray, phases, demand, offsets, F: int):
-    """The library-free knowledge pass of one demand's ``phases``: each
-    receiver's cached mask through ``_known_blocks`` and ``_absorb``, taking
-    every phase it decodes as decoded.  Returns (unknown, spare), two (K,
+def _outlook(cached: np.ndarray, phases, labels, offsets, F: int):
+    """The library-free knowledge pass of one pattern's ``phases``, receiver
+    k's message at library position ``labels[k-1]``: each receiver's cached
+    mask through ``_known_blocks`` and ``_absorb``, taking every phase it
+    decodes as decoded.  Returns (unknown, spare), two (K,
     phases) arrays: ``unknown[k-1, q-1]`` is the number of unknown blocks
     receiver k hands the decoder in phase q when its phases before q all
     decoded, the fewest it can have there since knowledge only grows;
@@ -445,8 +537,8 @@ def _outlook(cached: np.ndarray, phases, demand, offsets, F: int):
     values = np.zeros(cached.shape[1], dtype=np.uint8)
     decoded = np.zeros(max((len(phase.gather) for phase in phases), default=0), dtype=np.uint8)
     for k in range(1, K + 1):
-        message = slice(offsets[demand[k - 1] - 1], offsets[demand[k - 1]])
-        mine = [(q, phase) for q, phase in enumerate(phases[:k], start=1) if len(phase.gather)]
+        message = slice(offsets[labels[k - 1] - 1], offsets[labels[k - 1]])
+        mine = [(q, phases[q - 1]) for q in _decoded(k, phases) if len(phases[q - 1].gather)]
         known = cached[k - 1].copy()  # k's knowledge after the phases before q
         for i, (q, phase) in enumerate(mine):
             unknown[k - 1, q - 1] = np.count_nonzero(~_known_blocks(phase, F, known))
@@ -485,84 +577,37 @@ def _subset_delivery(plan: SchemePlan) -> _Delivery:
     (``index_schedule`` tracks what was sent by (message, fragment)), every
     message has the same length and the subset caches are the same for
     every message.  So ``compile`` builds one schedule per equality
-    pattern, for the demand's first-appearance relabelling ((3, 1, 3, 4)
-    becomes (1, 2, 1, 3)), and moves it onto the demand's messages
-    (``_relabel``).  The knowledge pass of a demand is that of its
-    pattern's template, made the first time a run consults it, and held
-    next to the template: the pattern is enough for it too."""
+    pattern, the demand's first-appearance labels ((3, 1, 3, 4) becomes
+    (1, 2, 1, 3)), and every demand of the pattern runs on it as it is: a
+    run lays message 3 out first, then 1, then 4 (``_library_order``).
+    The pattern's knowledge pass and levels live next to its schedule."""
     cfg = plan.cfg_sim
     layout = sub_message_layout(cfg, plan.params.K0, plan.params.t, plan.layout_memory)
     grants, _ = piggyback_grants(cfg, plan.params, layout)
     offsets = tuple(layout.position(d, 0) for d in range(1, cfg.D + 2))
-    L = layout.message_bits
     cached = build_caches(cfg, layout)
-    templates = {}  # pattern -> its phases, each with the labels _relabel reads
-    outlooks = {}  # pattern -> the knowledge pass of its template
-
-    def template(demand):
-        """The demand's pattern, its labels and the pattern's template."""
-        labels = {}  # message -> its label in the pattern
-        pattern = tuple(labels.setdefault(d, len(labels) + 1) for d in demand)
-        if pattern not in templates:
-            phases = index_schedule(cfg, plan.params, layout, grants, pattern)
-            templates[pattern] = [_template(phase, L) for phase in phases]
-        return pattern, labels, templates[pattern]
+    patterns = {}  # the demands' labels -> their _Pattern
 
     def compile(demand):
-        _, labels, phases = template(validate_demand(demand, cfg.K, cfg.D))
-        message = {label: d for d, label in labels.items()}
-        # label l's library positions move by (message[l] - l) * L; PAD reads
-        # the last entry, 0
-        shift = np.array([(message[label] - label) * L for label in message] + [0])
-        return tuple(_relabel(phase, message, shift) for phase in phases)
+        first = {}  # message -> its label
+        labels = tuple(first.setdefault(d, len(first) + 1) for d in validate_demand(demand, cfg.K, cfg.D))
+        if labels not in patterns:
+            phases = index_schedule(cfg, plan.params, layout, grants, labels)
+            patterns[labels] = _pattern(phases, labels, cached)
+        return patterns[labels]
 
-    def outlook(demand):
-        pattern, _, phases = template(demand)
-        if pattern not in outlooks:
-            outlooks[pattern] = _outlook(cached, [ph for ph, _, _ in phases], pattern, offsets, cfg.F)
-        return outlooks[pattern]
-
-    return _Delivery(cfg, cached, offsets, compile, outlook)
-
-
-def _template(phase: PhaseIndex, L: int):
-    """``phase`` with label - 1 of each gather entry (-1 for ``PAD``) and of
-    each span, over ``L`` bits a message."""
-    span_labels = [c[0] - 1 for item in phase.items for c in item.constituents]
-    return phase, phase.gather // max(L, 1), span_labels
-
-
-def _relabel(template, message: dict[int, int], shift: np.ndarray) -> PhaseIndex:
-    """A ``_template`` phase moved onto the messages ``message[l]``: the
-    library positions of label l move by ``shift[l - 1]``, and the
-    constituents name the new messages."""
-    phase, at, span_labels = template
-    moves = shift.tolist()
-    spans = tuple(
-        (lo + moves[l], hi + moves[l], first, stop)
-        for (lo, hi, first, stop), l in zip(phase.spans, span_labels)
-    )
-    items = tuple(
-        ItemIndex(
-            item.kind,
-            tuple((message[c[0]],) + c[1:] for c in item.constituents),
-            item.known_to,
-            item.owner,
-            item.start,
-            item.stop,
-        )
-        for item in phase.items
-    )
-    return PhaseIndex(phase.receiver, phase.budget_uses, items, phase.gather + shift[at], spans)
+    return _Delivery(cfg, cached, offsets, compile)
 
 
 def _prefix_delivery(plan: SchemePlan) -> _Delivery:
     """The common-demand scheme: prefix caches, and one random-linear phase
-    of n uses over the demanded message."""
+    of n uses over the demanded message.  Messages keep their order: a
+    demand's labels are its messages."""
     cfg = plan.cfg_sim
     F, n = cfg.F, cfg.require_n()
     sizes = message_lengths(cfg)
     offsets = tuple(int(x) for x in np.cumsum([0] + sizes))
+    cached = build_prefix_caches(cfg, plan.allocation)
 
     def compile(demand):
         if len(set(demand)) != 1:
@@ -577,12 +622,9 @@ def _prefix_delivery(plan: SchemePlan) -> _Delivery:
         spans = tuple((lo + a, lo + b, a, b) for a, b in cuts)
         consts = tuple((d, 0, a, b) for a, b in cuts)
         item = ItemIndex("uncached-part", consts, frozenset(), None, 0, len(gather))
-        return (PhaseIndex(1, n, (item,), gather, spans),)
+        return _pattern((PhaseIndex(1, n, (item,), gather, spans),), demand, cached)
 
-    cached = build_prefix_caches(cfg, plan.allocation)
-    return _Delivery(
-        cfg, cached, offsets, compile, lambda demand: _outlook(cached, compile(demand), demand, offsets, F)
-    )
+    return _Delivery(cfg, cached, offsets, compile)
 
 
 def _absorb(phase: PhaseIndex, decoded: np.ndarray, values: np.ndarray, known: np.ndarray):
@@ -648,7 +690,7 @@ def run_trial(cfg: SystemConfig, scheme: str, params, demand, seed) -> list[bool
 
 def _experiment(cfg: SystemConfig, plan: SchemePlan, demands):
     """The delivery of one experiment over ``demands`` and each distinct
-    demand's compiled phases.  A plan with a cache allocation (common
+    demand's ``_Pattern``.  A plan with a cache allocation (common
     demand) places prefixes, any other places subsets.
 
     A phase's largest decoder system reads every packet of the phase: its
@@ -662,8 +704,8 @@ def _experiment(cfg: SystemConfig, plan: SchemePlan, demands):
     delivery = (_prefix_delivery if plan.allocation is not None else _subset_delivery)(plan)
     compiled = {d: delivery.compile(d) for d in dict.fromkeys(demands)}
     F = cfg.F
-    for phases in compiled.values():
-        for phase in phases:
+    for pattern in compiled.values():
+        for phase in pattern.phases:
             B = len(phase.gather) // F
             held = phase.budget_uses * max(B, (B + F + 7) // 8)
             if held > MAX_HELD_BYTES:

@@ -340,6 +340,21 @@ def test_bad_inputs_exit_two_naming_the_field(capsys, sim_cfg, argv, field):
     assert f"error: {field} must" in err
 
 
+@pytest.mark.parametrize("scheme", ["joint-2rx", "common-demand"])
+def test_a_backoff_whose_rates_overflow_exits_two_naming_backoff(capsys, tmp_path, scheme):
+    """A finite backoff times the criterion-5 (or criterion-6) rates
+    overflows to inf: a usage error naming backoff, not the rate field."""
+    config = dict(_JOINT)
+    if scheme == "common-demand":
+        config.update(D=2, rates=[4.8, 2.4], memories=[1.6, 0.0], demand_set={"kind": "common"})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = ["simulate", "--config", str(path), "--scheme", scheme, "--backoff", "1e308", "--trials", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "error: backoff must" in err
+
+
 @pytest.mark.parametrize(
     "argv, flag, entry",
     [

@@ -221,6 +221,12 @@ def test_plan_validation_errors():
     for backoff in (0.0, math.inf, math.nan):
         with pytest.raises(ConfigError, match="backoff"):
             plan_scheme(cfg, "joint-2rx", backoff)
+    common = SystemConfig(
+        K=2, D=2, F=16, deltas=[0.8, 0.2], rates=[4.8, 2.4], memories=[1.6, 0.0], n=4000,
+        demand_set=DemandSet(kind="common"),
+    )
+    with pytest.raises(ConfigError, match="backoff"):
+        plan_scheme(common, "common-demand", 1e308)  # the backed-off rates overflow
 
 
 def test_demand_sampling_above_cap():
@@ -428,12 +434,12 @@ def test_one_random_stream_per_draw(monkeypatch):
 def test_engine_encodes_what_encode_payloads_sends(monkeypatch):
     """The engine hands the decoder each phase's source blocks, which
     decode_batch encodes as encode_payloads does: the blocks of every phase
-    are those gathered here from the run's library, drawn independently of
-    the engine."""
+    are those of index_schedule's phases for the demand, gathered here from
+    the run's library drawn independently of the engine, in message order."""
     from cachebc import codec
     from cachebc._seeding import seed_material
-    from cachebc.placement import draw_library
-    from cachebc.schedule import flat_library, gather_bits
+    from cachebc.placement import draw_library, sub_message_layout
+    from cachebc.schedule import flat_library, gather_bits, index_schedule, piggyback_grants
 
     cfg, plan = _general_k3()
     demand, seed = (2, 1, 3), [6, 0, 0]
@@ -447,10 +453,13 @@ def test_engine_encodes_what_encode_payloads_sends(monkeypatch):
 
     monkeypatch.setattr(codec, "decode_batch", recording)
     assert all(delivery.run([(compiled[demand], demand, seed)])[0])
-    library = flat_library(draw_library(plan.cfg_sim, seed_material(seed)))
+    params, sim = plan.params, plan.cfg_sim
+    layout = sub_message_layout(sim, params.K0, params.t, plan.layout_memory)
+    phases = index_schedule(sim, params, layout, piggyback_grants(sim, params, layout)[0], demand)
+    library = flat_library(draw_library(sim, seed_material(seed)))
     assert sorted(p for p, _ in handed) == [1, 2, 3]
     for p, blocks in handed:
-        gathered = gather_bits(library, compiled[demand][p - 1].gather).reshape(-1, cfg.F)
+        gathered = gather_bits(library, phases[p - 1].gather).reshape(-1, cfg.F)
         assert np.array_equal(blocks, gathered)
 
 
@@ -484,15 +493,18 @@ def _k4_general():
 
 @pytest.mark.parametrize("which", ["criterion-5", "general-k3", "general-k4"])
 def test_pattern_compile_equals_index_schedule(monkeypatch, which):
-    """The engine compiles one schedule per equality pattern of the demand
-    and moves it onto the demand's messages: on every demand of the
-    criterion-5 joint-2rx config (16), the K=3 general config (27) and the
-    benchmark's K=4 general config (256), every field of every phase equals
-    index_schedule's for that demand."""
+    """The engine compiles one template per equality pattern of the demand,
+    index_schedule's phases for the pattern's first-appearance labels, and
+    runs every demand of the pattern on it over a library laid out in label
+    order.  On every demand of the criterion-5 joint-2rx config (16), the K=3
+    general config (27) and the benchmark's K=4 general config (256), the
+    bits and spans a run reads through its label-ordered library are those
+    of index_schedule's phases for the demand over the message-ordered
+    library, and so are the cached bits under them."""
     from itertools import product
 
     from cachebc.placement import sub_message_layout
-    from cachebc.schedule import index_schedule, piggyback_grants
+    from cachebc.schedule import flat_library, gather_bits, index_schedule, piggyback_grants
 
     if which == "criterion-5":
         cfg = cfg_joint(n=4000, F=16, D=4)
@@ -505,21 +517,40 @@ def test_pattern_compile_equals_index_schedule(monkeypatch, which):
     compiles = []
     monkeypatch.setattr(simulate, "index_schedule", lambda *a: compiles.append(a[-1]) or index_schedule(*a))
     delivery = simulate._subset_delivery(plan)
-    demands = list(product(range(1, cfg.D + 1), repeat=cfg.K))
-    for demand in demands:
-        want = index_schedule(plan.cfg_sim, params, layout, grants, demand)
-        got = delivery.compile(demand)
-        assert len(got) == len(want) == cfg.K
-        for a, b in zip(got, want):
-            assert (a.receiver, a.budget_uses, a.items) == (b.receiver, b.budget_uses, b.items)
-            assert a.gather.dtype == b.gather.dtype and np.array_equal(a.gather, b.gather)
-            assert (a.spans, a.plain_start, a.item_spans) == (b.spans, b.plain_start, b.item_spans)
-    # one compile per pattern, on its first-appearance relabelling: as many
-    # as the Bell number of K, since D >= K
+    L = layout.message_bits
+    rng = np.random.default_rng(0)
+    messages = [rng.integers(0, 2, L, dtype=np.uint8) for _ in range(cfg.D)]
+    library, cached = flat_library(messages), delivery.cached
+
     def pattern(demand):
         labels = {}
         return tuple(labels.setdefault(d, len(labels) + 1) for d in demand)
 
+    demands = list(product(range(1, cfg.D + 1), repeat=cfg.K))
+    for demand in demands:
+        got = delivery.compile(demand)
+        assert got is delivery.compile(pattern(demand)) and got.labels == pattern(demand)
+        order = simulate._library_order(got.labels, demand, cfg.D)
+        assert sorted(order) == list(range(1, cfg.D + 1))
+        laid = flat_library([messages[d - 1] for d in order])
+        want = index_schedule(plan.cfg_sim, params, layout, grants, demand)
+        assert len(got.phases) == len(want) == cfg.K
+        for a, b in zip(got.phases, want):
+            assert (a.receiver, a.budget_uses, a.plain_start) == (b.receiver, b.budget_uses, b.plain_start)
+            for x, y in zip(a.items, b.items, strict=True):  # constituents name labels
+                moved = tuple((order[c[0] - 1],) + c[1:] for c in x.constituents)
+                assert (x.kind, moved, x.known_to, x.owner) == (y.kind, y.constituents, y.known_to, y.owner)
+                assert (x.start, x.stop) == (y.start, y.stop)
+            assert np.array_equal(gather_bits(laid, a.gather), gather_bits(library, b.gather))
+            assert len(a.spans) == len(b.spans)
+            for (lo, hi, first, stop), (lo2, hi2, first2, stop2) in zip(a.spans, b.spans):
+                assert (first, stop, hi - lo) == (first2, stop2, hi2 - lo2)
+                assert np.array_equal(laid[lo:hi], library[lo2:hi2])
+                assert np.array_equal(cached[:, lo:hi], cached[:, lo2:hi2])
+        for k, label in enumerate(got.labels, start=1):
+            message = laid[(label - 1) * L : label * L]
+            assert np.array_equal(message, messages[demand[k - 1] - 1])
+    # one compile per pattern: as many as the Bell number of K, since D >= K
     assert sorted(compiles) == sorted({pattern(d) for d in demands})
     assert len(compiles) == {2: 2, 3: 5, 4: 15}[cfg.K]
 
@@ -586,8 +617,8 @@ def _bookkeeping_phases():
         if isinstance(plan, str):
             plan = plan_scheme(cfg, plan, backoff=0.9)
         delivery, compiled = simulate._experiment(cfg, plan, demands)
-        for phases in compiled.values():
-            out += [(delivery.cached, cfg.F, phase) for phase in phases]
+        for pattern in compiled.values():
+            out += [(delivery.cached, cfg.F, phase) for phase in pattern.phases]
     return tuple(out)
 
 
@@ -797,11 +828,12 @@ def _check_pass_against_run(cfg, plan, demands, seeds) -> int:
         mp.setattr(codec, "decode_batch", recording)
         delivery, compiled = simulate._experiment(cfg, plan, demands)
         for demand in dict.fromkeys(demands):
-            unknown, spare = delivery.outlook(demand)
+            unknown, spare = delivery.outlook(compiled[demand])
             for seed in seeds:
                 calls.clear()
                 flags = delivery.run([(compiled[demand], demand, seed)])[0]
                 decoded = [True] * cfg.K  # receiver k's phases so far all decoded
+                calls.sort(key=lambda call: call[0])  # phase order: a level may hold several
                 for p, us, oks in calls:  # one run: phase p at receivers p..K
                     for k, u, ok in zip(range(p, cfg.K + 1), us, oks):
                         if decoded[k - 1]:
@@ -860,3 +892,115 @@ def test_knowledge_pass_matches_run_on_fixed_cases(case):
         cfg, plan = _k5_t2(float(case.rsplit("-", 1)[1]))
         demands = [(1, 1, 1, 1, 1), (1, 2, 1, 2, 2), (2, 1, 1, 2, 1)]
     assert _check_pass_against_run(cfg, plan, demands, [[1, 0, j] for j in range(4)]) >= 16
+
+
+# -- level-major decoding -------------------------------------------------------
+
+
+def _decoding(cfg, plan, demands, seeds, phase_major: bool, doom: bool):
+    """Decode every (demand, seed) run in one block, run (di, seed) seeded by
+    seed + [di]; returns every reception
+    handed to the decoder, keyed by (run, receiver, phase) with its known
+    blocks, their values and its packet indices, and each run's flags.  A run
+    is named by its phase's codec stream key.  ``phase_major`` puts each phase
+    at a level of its own; with ``doom`` off every receiver decodes every
+    phase, so phase q's receptions are those of receivers q..K in order."""
+    from cachebc import codec
+
+    seen = {}
+    decode = codec.decode_batch
+
+    def recording(groups):
+        for _, q, stream, receptions in groups:
+            for k, rec in enumerate(receptions, start=q):
+                key = (tuple(stream.key), k, q)
+                assert key not in seen
+                seen[key] = (rec.known.tobytes(), rec.values.tobytes(), rec.indices.tobytes())
+        return decode(groups)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codec, "decode_batch", recording)
+        if not doom:
+            mp.setattr(simulate, "_doomed", lambda *a: False)
+        if phase_major:
+            mp.setattr(simulate, "_levels", lambda phases, size: tuple(
+                (q,) for q, phase in enumerate(phases, start=1) if len(phase.gather)))
+        delivery, compiled = simulate._experiment(cfg, plan, demands)
+        runs = [(compiled[d], d, seed + [di]) for di, d in enumerate(demands) for seed in seeds]
+        flags = delivery.run(runs)
+    return seen, flags
+
+
+def _check_levels_against_phase_major(cfg, plan, demands, seeds) -> int:
+    """With the doom check off, level-major decoding hands the decoder every
+    reception phase-major decoding does and gives the same flags; with it
+    on, which phases a doomed receiver skips may differ, and the flags stay
+    the same.  Returns the number of receptions compared."""
+    seen, flags = _decoding(cfg, plan, demands, seeds, phase_major=False, doom=False)
+    assert (seen, flags) == _decoding(cfg, plan, demands, seeds, phase_major=True, doom=False)
+    for phase_major in (False, True):
+        assert _decoding(cfg, plan, demands, seeds, phase_major, doom=True)[1] == flags
+    return len(seen)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_general_configs(), seed=st.integers(0, 2**32 - 1))
+def test_level_major_decoding_equals_phase_major_on_random_general_configs(case, seed):
+    """On random K <= 5 general configs with small n, decoding by dependency
+    level gives every reception and flag that decoding phase after phase
+    gives."""
+    from hypothesis import assume
+
+    from cachebc import OutOfRegimeError
+    from cachebc.placement import CapacityError
+
+    cfg, backoff, demands = case
+    try:
+        plan = plan_scheme(cfg, "general", backoff=backoff)
+    except (ConfigError, OutOfRegimeError, CapacityError):
+        assume(False)
+    _check_levels_against_phase_major(cfg, plan, demands, [[seed, 0], [seed, 1]])
+
+
+@pytest.mark.parametrize(
+    "case", ["criterion-5-0.9", "criterion-5-1.1", "criterion-6-0.9", "criterion-6-1.05",
+             "k4-0.85", "k5-t2-0.9"],
+)
+def test_level_major_decoding_equals_phase_major_on_fixed_cases(case):
+    """The criterion-5 and criterion-6 configs below and above capacity, the
+    K=4 general config, and the K=5, t=2 config whose later phases overlap
+    earlier ones in part."""
+    from itertools import product
+
+    backoff = float(case.rsplit("-", 1)[1])
+    if case.startswith("criterion-5"):
+        cfg = cfg_joint(n=4000, F=16, D=4)
+        plan, demands = plan_scheme(cfg, "joint-2rx", backoff=backoff), [(1, 2), (3, 3), (4, 1)]
+    elif case.startswith("criterion-6"):
+        cfg = SystemConfig(
+            K=2, D=2, F=16, deltas=[0.8, 0.2], rates=[4.8, 2.4], memories=[1.6, 0.0], n=4000,
+            demand_set=DemandSet(kind="common"),
+        )
+        plan, demands = plan_scheme(cfg, "common-demand", backoff=backoff), [(1, 1), (2, 2)]
+    elif case.startswith("k4"):
+        cfg, _ = _k4_general()
+        plan = plan_scheme(cfg, "general", backoff=backoff)
+        demands = [(1, 2, 3, 4), (1, 1, 1, 2), (2, 2, 3, 3), (4, 3, 4, 1)]
+    else:
+        cfg, plan = _k5_t2(backoff)
+        demands = list(product((1, 2), repeat=5))[::5]
+    assert _check_levels_against_phase_major(cfg, plan, demands, [[3, 0, j] for j in range(2)]) >= 8
+
+
+def test_one_elimination_per_criterion_5_call(monkeypatch):
+    """Criterion 5's phase 2 overlaps no library bit of its phase 1, so both
+    are decoded at level 0: one criterion-5 call, on the benchmark's recorded
+    seed, eliminates all 44 systems of its 16 runs in one kernel call."""
+    from cachebc import codec
+
+    cfg = cfg_joint(n=4000, F=16, D=4)
+    plan = plan_scheme(cfg, "joint-2rx", backoff=0.9)
+    sizes, m4ri = [], codec._m4ri
+    monkeypatch.setattr(codec, "_m4ri", lambda systems: sizes.append(len(systems)) or m4ri(systems))
+    estimate_pe(cfg, "joint-2rx", plan, trials=1, seed=20250809 * 10_000)
+    assert sizes == [44]
