@@ -19,7 +19,17 @@ place as a zero column, which never pivots.  Its right-hand side is the
 payloads less the known blocks' contribution, packed to bytes that the
 kernel puts right after the columns.  Over GF(2),
 ``payloads ^ rows[:, known] @ values[known]`` is ``rows @ (blocks ^ known
-values)``, one float32 BLAS product per system.
+values)``, one product per system.  A system of m packets over B blocks
+with m B >= ``_TABLE_PRODUCT_SIZE`` (every criterion-5 system) takes it
+straight from its packed coefficient bytes with the multiplication half of
+the Method of Four Russians (Albrecht, Bard and Hart, ACM TOMS 37(1),
+2010): per coefficient byte, a 256-entry table of XOR combinations of its
+eight blocks, one gather and an XOR over the bytes.  Its rows are never
+unpacked and never reach BLAS, whose second thread stalls up to 20-fold on
+a shared 2-vCPU VM.  A smaller system has too few rows to pay for the
+tables and keeps the float32 BLAS product of ``_gf2_matmul``, as do
+``encode_payloads`` and ``decode_arrays``, so the tests that compare them
+with ``decode_batch`` check one product against the other.
 
 The erasures do not depend on what a packet carries, so a packet need not
 exist before a decoder reads it: ``decode_batch`` takes each phase's source
@@ -98,7 +108,9 @@ def _gf2_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def encode_payloads(blocks, count: int, phase_id: int, seed) -> np.ndarray:
     """The (count, F) payload matrix of ``count`` coded packets over the
-    (B, F) source blocks; row j is packet j."""
+    (B, F) source blocks; row j is packet j.  Always the BLAS product of
+    ``_gf2_matmul``, so a large ``decode_batch`` system, whose right-hand
+    side is a table product, is checked against an independent encode."""
     blocks = np.asarray(blocks, dtype=np.uint8)
     B, F = blocks.shape if blocks.ndim == 2 else (0, 0)
     if B == 0:
@@ -113,6 +125,45 @@ _FIRST_ATTEMPT_EXTRA = 16  # the first solve uses the first u + 16 packets liste
 # 44 systems of its one decoding level (about 280k words) stay one chunk,
 # since each chunk pays a fixed per-strip cost before any per-system work
 _KERNEL_WORDS = 1 << 19
+
+
+# a system of m packets over B blocks with m B at least this takes its
+# right-hand side from the table product, a smaller one from BLAS.  On a
+# shared 2-vCPU Xeon VM (numpy 2.4, F = 16, m = B + 16) the table product
+# overtakes BLAS near m B = 6e4 with OpenBLAS's default two threads, near
+# 1e5 with one.  Criterion-5 systems sit at 3.3e5-5.9e5, where it is
+# 1.4-1.7x faster; mc-general-k4's at 1.3e3 or less, where it is 2-3x slower
+_TABLE_PRODUCT_SIZE = 1 << 16
+
+
+def _table_product(packed: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(rows @ X) mod 2 packed to (m, ceil(F/8)) bytes, where ``packed``
+    holds the rows as (m, ceil(B/8)) coefficient bytes (bit i of byte g the
+    coefficient of block 8g+i, any filler bits past B) and X is (B, F)
+    bits: the multiplication half of the Method of Four Russians.
+
+    Each block is packed to ceil(F/64) words.  For byte group g a table
+    holds the XOR of every subset of blocks 8g..8g+7, built in eight
+    doubling steps; the rows past B are zero, so filler bits add nothing.
+    Row r's product is the XOR over g of table g's entry at byte g of row
+    r: one gather per word of F at byte + 256 g, XOR-reduced over g.  The
+    (ceil(B/8), m) index and each gather hold about m B bytes."""
+    B, F = X.shape
+    m, groups = packed.shape
+    words = (F + 63) // 64
+    bits = np.zeros((8 * groups, 64 * words), np.uint8)
+    bits[:B, :F] = X
+    packed_X = np.packbits(bits.reshape(-1), bitorder="little").view(np.uint64)
+    packed_X = packed_X.reshape(groups, 8, words).transpose(2, 0, 1)
+    table = np.empty((words, groups, 256), np.uint64)
+    table[:, :, 0] = 0
+    for i in range(8):
+        np.bitwise_xor(table[:, :, : 1 << i], packed_X[:, :, i, None], out=table[:, :, 1 << i : 2 << i])
+    index = np.add(packed.T, np.arange(0, 256 * groups, 256)[:, None], order="C")
+    out = np.empty((m, words), np.uint64)
+    for f in range(words):
+        np.bitwise_xor.reduce(table[f].reshape(-1).take(index), axis=0, out=out[:, f])
+    return out.view(np.uint8)[:, : (F + 7) // 8]
 
 
 class _System(NamedTuple):
@@ -161,6 +212,11 @@ def _eliminate(systems) -> list:
     return out
 
 
+_BITS = [np.uint8(1 << j) for j in range(8)]
+_SHIFTS = [np.uint64(i) for i in range(64)]
+_ONE = np.uint64(1)
+
+
 def _m4ri(systems: list) -> list:
     """Gauss-Jordan elimination of S ``_System``s at once with the Method of
     Four Russians (Albrecht, Bard and Hart, ACM TOMS 36(2), 2010).
@@ -169,7 +225,10 @@ def _m4ri(systems: list) -> list:
     (W, S, rows) array: the column bytes of the chunk's widest system, then
     the right-hand-side bytes.  For each 8-column strip, a pivot search
     vectorised over the systems finds up to eight pivot rows per system,
-    those are reduced against each other, and one 256-entry table per system
+    bit by bit: once the search has passed bit j, no candidate row (one
+    that may still pivot) holds a strip bit at or below j, since each with
+    bit j took the pivot's strip bits, which hold none below j.  Those pivot
+    rows are reduced against each other, and one 256-entry table per system
     of their XOR combinations clears the strip from every other row with a
     single gather.  The tables are held (words, 256, S), so each doubling
     step of their build writes whole rows; with many small systems that
@@ -189,45 +248,50 @@ def _m4ri(systems: list) -> list:
         rows[s, :m, C : C + system.rhs.shape[1]] = system.rhs
     # word w of a row holds bytes 8w..8w+7 (little-endian hosts)
     P = np.ascontiguousarray(rows.view(np.uint64).transpose(2, 0, 1))
+    del rows
     P8 = P.view(np.uint8)  # P8[w, s, 8r + k] is byte 8w + k of row r
     free = np.full((S, R), 0xFF, np.uint8)  # zero on rows that already pivot
     pivot = np.full((S, 8 * C), -1, np.int64)  # pivot row of each column
     ar = np.arange(S)
     hit = np.empty((S, R), np.uint8)
+    cand = np.empty((S, R), np.uint8)
     for b in range(C):
         w, k = divmod(b, 8)
         strip = P8[w, :, k::8]  # every row's strip bits before this strip
-        cand = strip & free  # ... and of the rows that may still pivot
+        np.bitwise_and(strip, free, out=cand)  # ... of the rows that may still pivot
         # candidates only XOR each other, so a bit none of them has never appears
         present = int(np.bitwise_or.reduce(cand, axis=None))
         if not present:
             continue
-        js, rs, pivs = [], [], []
+        searched, rs, pivs = [], [], []
         for j in range(8):
             if not present >> j & 1:
                 continue
             # the first candidate with bit j; XOR its strip bits into every
-            # candidate with bit j, which clears bit j there and its own entry
-            np.bitwise_and(cand, np.uint8(1 << j), out=hit)
+            # candidate with bit j, which clears bit j there and its own
+            # entry.  No candidate keeps a bit below j, so hit (0 or 1 << j)
+            # times piv >> j is 0 or piv
+            np.bitwise_and(cand, _BITS[j], out=hit)
             r = hit.argmax(axis=1)
             piv = cand[ar, r]
-            np.right_shift(hit, j, out=hit)
-            np.multiply(hit, piv[:, None], out=hit)
+            np.multiply(hit, (piv >> j)[:, None], out=hit)
             cand ^= hit
-            js.append(j)
+            searched.append(j)
             rs.append(r)
             pivs.append(piv)
-        js = np.array(js)
+        js = np.array(searched)
         ss, i = np.nonzero((np.stack(pivs, axis=1) >> js) & 1)  # the pivots found
         rs, js = np.stack(rs, axis=1)[ss, i], js[i]
         free[ss, rs] = 0
         pivot[ss, 8 * b + js] = rs
         G = np.zeros((W - w, 8, S), np.uint64)  # the strip's pivot rows, from word w
         G[:, js, ss] = P[w:, ss, rs]
-        for j in np.unique(js):  # reduce the pivot rows against each other
-            bit = (G[0] >> np.uint64(8 * k + j)) & np.uint64(1)
+        # reduce the pivot rows against each other; a bit no system found a
+        # pivot for has a zero G[:, j], and its step changes nothing
+        for j in searched:
+            bit = (G[0] >> _SHIFTS[8 * k + j]) & _ONE
             bit[j] = 0
-            G ^= (np.uint64(0) - bit) & G[:, j, None]
+            G ^= -bit & G[:, j, None]
         table = np.empty((W - w, 256, S), np.uint64)
         table[:, 0] = 0
         for j in range(8):
@@ -293,22 +357,28 @@ def _systems(phase, todo) -> list:
     rows of its own packets: the drawn coefficient bytes with its known
     blocks' columns cleared, and as right-hand side the payloads of those
     packets less the known blocks' contribution, encoded in one product
-    over the source blocks XOR the known values."""
+    over the source blocks XOR the known values: ``_table_product`` on the
+    packed bytes when m B >= ``_TABLE_PRODUCT_SIZE``, else ``_gf2_matmul``
+    on the unpacked rows."""
     blocks, phase_id, seed, receptions = phase
     if not todo:
         return []
-    B = len(blocks)
+    B, F = blocks.shape
     last = max(int(sel.max()) for _, sel in todo)
     drawn = _coefficient_bytes(seed, phase_id, last + 1, B)[:, : (B + 7) // 8]
     out = []
     for ri, sel in todo:
         rec = receptions[ri]
         packed = drawn[sel]
-        rows = np.unpackbits(packed, axis=1, count=B, bitorder="little")
-        rhs = _gf2_matmul(rows, blocks ^ rec.values * rec.known[:, None])
+        X = blocks ^ rec.values * rec.known[:, None]
         unknown = ~rec.known
-        mask = np.packbits(unknown, bitorder="little")  # filler bits clear
-        out.append((ri, _system(packed & mask, rhs, unknown.nonzero()[0])))
+        coefs = packed & np.packbits(unknown, bitorder="little")  # filler bits clear
+        if len(sel) * B >= _TABLE_PRODUCT_SIZE:
+            system = _System(coefs, _table_product(packed, X), unknown.nonzero()[0], F)
+        else:
+            rows = np.unpackbits(packed, axis=1, count=B, bitorder="little")
+            system = _system(coefs, _gf2_matmul(rows, X), unknown.nonzero()[0])
+        out.append((ri, system))
     return out
 
 
@@ -375,7 +445,10 @@ def decode_arrays(
     rows received with them, solving all its packets at once.
 
     ``known`` maps block index -> (F,) bit value; those columns are
-    eliminated before solving.
+    eliminated before solving.  The known blocks' contribution is always
+    the BLAS product of ``_gf2_matmul``, so comparing this with
+    ``decode_batch``, whose large systems use the table product, checks
+    one product against the other.
     """
     known = known or {}
     indices = np.asarray(indices, dtype=np.int64)

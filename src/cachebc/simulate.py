@@ -78,6 +78,7 @@ from .placement import (
     sub_message_layout,
 )
 from .regions import (
+    HIGHS_INF,
     OutOfRegimeError,
     best_phase_lp_rate,
     common_demand_contains,
@@ -184,11 +185,15 @@ def _equal_cache_pattern(cfg: SystemConfig) -> tuple[int, float]:
 
 
 def _backed_off(backoff: float, rates) -> tuple[float, ...]:
-    """``rates`` times ``backoff``; a product that overflows is a
-    ConfigError naming ``backoff``."""
+    """``rates`` times ``backoff``; a product that overflows, or reaches
+    ``HIGHS_INF``, which the slack-fit LP's HiGHS would read as infinite,
+    is a ConfigError naming ``backoff``."""
     out = tuple(backoff * r for r in rates)
-    if not all(math.isfinite(r) for r in out):
-        raise ConfigError(f"backoff must keep the rates finite, got {backoff} times {tuple(rates)}")
+    if not all(r < HIGHS_INF for r in out):
+        raise ConfigError(
+            f"backoff must keep the rates finite and below {HIGHS_INF:g}, "
+            f"got {backoff} times {tuple(rates)}"
+        )
     return out
 
 
@@ -693,11 +698,14 @@ def _experiment(cfg: SystemConfig, plan: SchemePlan, demands):
     demand's ``_Pattern``.  A plan with a cache allocation (common
     demand) places prefixes, any other places subsets.
 
-    A phase's largest decoder system reads every packet of the phase: its
-    coefficient row is unpacked to B bytes, one per block, for the
-    products, and the system holds ceil((B + F)/8) bytes of it packed.  A
-    plan where the larger of the two exceeds ``MAX_HELD_BYTES`` is
-    rejected, naming ``n``, before any is drawn."""
+    A phase's largest decoder system reads every packet of the phase: for
+    its right-hand side each packet's coefficient row is unpacked to B
+    bytes, one per block, for the BLAS product, or on a large system
+    indexed by ceil(B/8) byte offsets of 8 bytes each for the table product
+    (``codec._table_product``), about B bytes again; the system holds
+    ceil((B + F)/8) bytes of it packed.  So a plan where the packets times
+    the larger of the two exceeds ``MAX_HELD_BYTES`` is rejected, naming
+    ``n``, before any is drawn."""
     for demand in demands:
         if not cfg.demand_set.contains(demand, cfg.K, cfg.D):
             raise ConfigError(f"demand {demand} is not in the feasible set")

@@ -355,6 +355,17 @@ def test_a_backoff_whose_rates_overflow_exits_two_naming_backoff(capsys, tmp_pat
     assert "error: backoff must" in err
 
 
+@pytest.mark.parametrize("backoff", ["1e20", "1e100", "1e308"])
+def test_a_backoff_whose_rate_highs_reads_as_infinite_exits_two_naming_backoff(capsys, sim_cfg, backoff):
+    """On a config whose nominal rate is below 1.8, these backoffs leave
+    the rate finite but at or above HIGHS_INF, which the slack-fit LP's
+    HiGHS reads as infinite: a usage error naming backoff, not a crash."""
+    argv = ["simulate", "--config", sim_cfg, "--scheme", "joint-2rx", "--backoff", backoff, "--trials", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "error: backoff must" in err
+
+
 @pytest.mark.parametrize(
     "argv, flag, entry",
     [

@@ -400,16 +400,19 @@ def test_decode_batch_equals_single_decodes():
     assert results[0].ok  # the fallback found the late packet
 
 
-def random_phases(seed):
+def random_phases(seed, F=None):
     """Phases of random receptions, decoded and encoded from source blocks:
     no unknowns, too few packets, rank deficits, full decodes, and the first
     u+16 (and u+64) received packets repeating one coefficient row while a
-    later one completes the rank."""
+    later one completes the rank.  Each phase has F bits per block, drawn
+    from 1, 8 and 17 unless given; given, B is never a multiple of 8."""
     rng = np.random.default_rng(seed)
     phases = []
     for phase_id in range(5):
         B = int(rng.integers(1, 50))
-        b = blocks_of(B, F=int(rng.choice([1, 8, 17])), seed=seed + phase_id)
+        if F is not None:
+            B += B % 8 == 0
+        b = blocks_of(B, F=int(rng.choice([1, 8, 17])) if F is None else F, seed=seed + phase_id)
         count = B + 120
         receptions = []
         for _ in range(6):
@@ -457,33 +460,73 @@ def test_decoder_encodes_the_packets_encode_payloads_sends(monkeypatch):
     a deficient system, holds the coefficient rows coefficient_rows gives
     its packets, less the known blocks' columns, and as right-hand side the
     rows encode_payloads gives those packets, less the known blocks'
-    contribution."""
+    contribution.  Checked with every right-hand side a table product (size
+    threshold 0) and every one a BLAS product (a threshold above every
+    system); over F of 1, 8 and 17 mixed, and over F of 1, 16, 17 and 65
+    (two words per block in the table product) with B never a multiple of
+    8, so the last coefficient byte carries random filler bits that must
+    add nothing."""
     monkeypatch.setattr(codec, "_FIRST_ATTEMPT_EXTRA", 16)
-    reads, systems = [], codec._systems
-
-    def recording(phase, todo):
-        reads.append((phase, todo, systems(phase, todo)))
-        return reads[-1][2]
-
-    monkeypatch.setattr(codec, "_systems", recording)
-    phases = random_phases(4)
-    codec.decode_batch(phases)
+    systems = codec._systems
     pack = lambda bits: np.packbits(bits, axis=1, bitorder="little")  # noqa: E731
-    for (blocks, phase_id, seed, receptions), todo, built in reads:
-        B = len(blocks)
-        assert [ri for ri, _ in todo] == [ri for ri, _ in built]
-        for (ri, sel), (_, system) in zip(todo, built):
-            rec, count = receptions[ri], int(sel.max()) + 1
-            rows = codec.coefficient_rows(seed, phase_id, count, B)[sel]
-            sent = codec.encode_payloads(blocks, count, phase_id, seed)[sel]
-            rhs = sent ^ (rows.astype(np.int64) @ (rec.values * rec.known[:, None]) % 2)
-            assert np.array_equal(system.coefs, pack(rows * ~rec.known))
-            assert np.array_equal(system.rhs, pack(rhs.astype(np.uint8)))
-            assert np.array_equal(system.unknown, np.flatnonzero(~rec.known))
-    # the late-packet phase: each reception's first attempt on u+16 packets,
-    # then a retry on all of its packets
-    late = [sel for phase, todo, _ in reads if phase is phases[-1] for _, sel in todo]
-    receptions = phases[-1][3]
-    assert len(late) == 4
-    assert all(np.array_equal(sel, rec.indices[:18]) for sel, rec in zip(late[:2], receptions))
-    assert all(np.array_equal(sel, rec.indices) for sel, rec in zip(late[2:], receptions))
+    for table_size in (0, 1 << 40):
+        monkeypatch.setattr(codec, "_TABLE_PRODUCT_SIZE", table_size)
+        for F in (None, 1, 16, 17, 65):
+            phases = random_phases(4 if F is None else F, F=F)
+            reads = []
+
+            def recording(phase, todo):
+                reads.append((phase, todo, systems(phase, todo)))
+                return reads[-1][2]
+
+            monkeypatch.setattr(codec, "_systems", recording)
+            codec.decode_batch(phases)
+            filler = 0
+            for (blocks, phase_id, seed, receptions), todo, built in reads:
+                B = len(blocks)
+                assert [ri for ri, _ in todo] == [ri for ri, _ in built]
+                for (ri, sel), (_, system) in zip(todo, built):
+                    rec, count = receptions[ri], int(sel.max()) + 1
+                    rows = codec.coefficient_rows(seed, phase_id, count, B)[sel]
+                    sent = codec.encode_payloads(blocks, count, phase_id, seed)[sel]
+                    rhs = sent ^ (rows.astype(np.int64) @ (rec.values * rec.known[:, None]) % 2)
+                    assert np.array_equal(system.coefs, pack(rows * ~rec.known))
+                    assert np.array_equal(system.rhs, pack(rhs.astype(np.uint8)))
+                    assert np.array_equal(system.unknown, np.flatnonzero(~rec.known))
+                    if B % 8:
+                        drawn = codec._coefficient_bytes(seed, phase_id, count, B)[sel]
+                        filler |= int(np.bitwise_or.reduce(drawn[:, B // 8] >> B % 8))
+            assert filler
+            # the late-packet phase: each reception's first attempt on u+16
+            # packets, then a retry on all of its packets
+            late = [sel for phase, todo, _ in reads if phase is phases[-1] for _, sel in todo]
+            receptions = phases[-1][3]
+            assert len(late) == 4
+            assert all(np.array_equal(sel, rec.indices[:18]) for sel, rec in zip(late[:2], receptions))
+            assert all(np.array_equal(sel, rec.indices) for sel, rec in zip(late[2:], receptions))
+
+
+def test_large_systems_take_the_table_product(monkeypatch):
+    """A criterion-5 decode (u about 600) never calls the BLAS product, and
+    an mc-general-k4-sized one (u < 50) still does: the size threshold
+    splits the benchmark's workloads."""
+    from cachebc import SystemConfig, estimate_pe
+
+    calls = {"table": 0, "blas": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(codec, "_table_product", counting("table", codec._table_product))
+    monkeypatch.setattr(codec, "_gf2_matmul", counting("blas", codec._gf2_matmul))
+    c5 = SystemConfig(K=2, D=4, F=16, deltas=[0.8, 0.2], rates=[1.0] * 4, memories=[0.8, 0.0], n=4000)
+    estimate_pe(c5, "joint-2rx", backoff=0.90, trials=1, seed=20250809)
+    assert calls["table"] >= 16 and calls["blas"] == 0
+    calls.update(table=0, blas=0)
+    k4 = SystemConfig(K=4, D=4, F=16, deltas=[0.8, 0.6, 0.4, 0.2], rates=[1.0] * 4,
+                      memories=[0.5, 0.5, 0.5, 0.0], n=400)
+    estimate_pe(k4, "general", backoff=0.60, trials=1, seed=0, demand_cap=4)
+    assert calls["table"] == 0 and calls["blas"] > 0
