@@ -8,6 +8,10 @@ layers for unequal cache sizes (an exact LP for each tuple of per-layer
 subset sizes t, the tuples stacked block-diagonally a few per LP), and the
 exact membership test for the single-common-demand region.
 
+The per-phase LP is one model (``_PhaseLp``: rows, column layout, bounds
+rule, solution reader) that the max-rate LP, the slack fit and each layer of
+the unequal-cache stack all read.
+
 All LPs are small.  They go through one entry point, ``linprog``, which
 builds HiGHS's column-wise model itself (the stacked unequal-cache LP from
 its dense per-layer blocks, so that it stays sparse) and hands it, as
@@ -432,7 +436,7 @@ def _printed_conditions_lp(cfg: SystemConfig, K0: int, t: int, M: float):
     K, D, F = cfg.K, cfg.D, cfg.F
     ntail = K - K0
     nv = 1 + K0 * ntail
-    r_c = M / (D * math.comb(K0 - 1, t - 1))
+    r_c = _rc_cap(cfg, K0, t, M)
     tau = math.comb(K0, t)
     bulk = M * K0 / (D * t)
 
@@ -543,8 +547,83 @@ class PhaseLpResult:
     slack: float = 0.0
 
 
-def _phase_lp_rows(cfg: SystemConfig, K0: int, t: int):
-    """Shared constraint skeleton over x = [R, r_c, beta_1..K, C..., s].
+def _rc_cap(cfg: SystemConfig, K0: int, t: int, M: float) -> float:
+    """The cached rate per fragment that memory M holds: each receiver caches
+    C(K0-1, t-1) fragments of each of the D messages."""
+    return M / (cfg.D * math.comb(K0 - 1, t - 1))
+
+
+class _PhaseLp(NamedTuple):
+    """The per-phase LP of the subset-caching scheme for (K0, t): the rows
+    ``A @ x <= 0`` and ``A_eq @ x == 1`` (the phase fractions sum to 1) over
+
+        x = [R, r_c, beta_1..beta_K, C[1][K0+1]..C[K0][K], s]
+
+    R at 0, r_c at 1, beta_k at 1 + k, the K0 x (K - K0) piggyback rates C
+    row-major from K + 2, and the slack s last.  ``tags[i]`` is the (phase,
+    audience receiver) of capacity row i, None for a row without slack."""
+
+    A: np.ndarray
+    A_eq: np.ndarray
+    tags: tuple
+    K: int
+    K0: int
+    t: int
+
+    @property
+    def nv(self) -> int:
+        return self.A.shape[1]
+
+    def bounds(self, rc_cap: float, rate: float | None = None, zero_C: bool = False) -> list:
+        """r_c in [0, rc_cap], each beta in [0, 1], C >= 0 (0 with
+        ``zero_C``).  Without ``rate``, the max-rate LP: R >= 0 and s = 0.
+        With it, R = ``rate``, s is free, and r_c <= rate / tau, as the tau
+        cached fragments must fit in the message.
+
+        HiGHS reads an rc_cap of HIGHS_INF or more as none.  With K >= 2 that
+        never binds (the phase rows bound R); with one receiver the max-rate
+        LP comes out unbounded, and linprog raises ConfigError."""
+        if rate is None:
+            R, s = (0, None), (0, 0)
+        else:
+            tau = math.comb(self.K0, self.t)
+            if rate < tau * rc_cap - 1e-12:
+                rc_cap = rate / tau
+            R, s = (rate, rate), (None, None)
+        C = (0, 0) if zero_C else (0, None)
+        return [R, (0, rc_cap)] + [(0, 1)] * self.K + [C] * (self.K0 * (self.K - self.K0)) + [s]
+
+    def maximize(self, col: int, bounds, A=None):
+        """linprog's solution of this LP, maximizing column ``col`` of x, with
+        the inequality rows ``A`` in place of the model's where given."""
+        A = self.A if A is None else A
+        c = np.zeros(self.nv)
+        c[col] = -1.0
+        return linprog(c, A_ub=A, b_ub=np.zeros(len(A)), A_eq=self.A_eq, b_eq=np.ones(1), bounds=bounds)
+
+    def result(self, x, slack: float = 0.0) -> PhaseLpResult:
+        """The PhaseLpResult of solution ``x``, C entries below 1e-11 as 0."""
+        K, K0, ntail = self.K, self.K0, self.K - self.K0
+        if ntail:
+            C = x[K + 2 : K + 2 + K0 * ntail].reshape(K0, ntail).copy()
+            C[np.abs(C) < 1e-11] = 0.0
+            piggyback = tuple(tuple(row) for row in C)
+        else:
+            piggyback = ((),) * K0
+        return PhaseLpResult(
+            # + 0.0 turns a zero that HiGHS returns as -0.0 into 0.0
+            rate=float(x[0]) + 0.0,
+            beta=tuple(max(0.0, float(b)) for b in x[2 : K + 2]),
+            piggyback=piggyback,
+            K0=K0,
+            t=self.t,
+            cached_rate_per_fragment=float(x[1]) + 0.0,
+            slack=slack,
+        )
+
+
+def _phase_lp_rows(cfg: SystemConfig, K0: int, t: int) -> _PhaseLp:
+    """The per-phase LP (``_PhaseLp``) of the subset-caching scheme.
 
     Per-phase, per-receiver capacity accounting: in phase k <= K0 the payload
     is the XOR groups whose weakest member is k (count ``X_k``, each of rate
@@ -557,56 +636,43 @@ def _phase_lp_rows(cfg: SystemConfig, K0: int, t: int):
     K, F = cfg.K, cfg.F
     ntail = K - K0
     tau = math.comb(K0, t)
-    nv = 1 + 1 + K + K0 * ntail + 1
-    iR, iRC = 0, 1
-    iB = lambda k: 2 + (k - 1)
-    iC = lambda k, kt: 2 + K + (k - 1) * ntail + (kt - K0 - 1)
-    iS = nv - 1
-
-    A, b, meta = [], [], []
-
-    def add(row, rhs, tag=None):
-        A.append(row)
-        b.append(rhs)
-        meta.append(tag)
+    nv = K + 3 + K0 * ntail
+    iC = K + 2 - K0 - 1  # C[k][kt] at iC + (k - 1) * ntail + kt
+    rows = []  # (row, tag)
 
     for k in range(1, K0 + 1):
         xk = math.comb(K0 - k, t)
         # unknown rate at the phase owner: R - (tau - X_k) * r_c
         row = np.zeros(nv)
-        row[iR] = 1.0
-        row[iRC] = -(tau - xk)
-        row[iB(k)] = -F * (1.0 - cfg.delta(k))
-        row[iS] = 1.0
-        add(row, 0.0, (k, k))
+        row[0] = 1.0
+        row[1] = -(tau - xk)
+        row[1 + k] = -F * (1.0 - cfg.delta(k))
+        row[-1] = 1.0
+        rows.append((row, (k, k)))
         if k + 1 <= K:
-            row = np.zeros(nv)
-            row[iR] = 1.0
-            row[iRC] = -(tau - xk)
-            for kt in range(K0 + 1, K + 1):
-                row[iC(k, kt)] = 1.0
-            row[iB(k)] = -F * (1.0 - cfg.delta(k + 1))
-            row[iS] = 1.0
-            add(row, 0.0, (k, k + 1))
+            # the same payload and the phase's piggyback slices at receiver k+1
+            row = row.copy()
+            row[1 + k] = -F * (1.0 - cfg.delta(k + 1))
+            at = iC + (k - 1) * ntail
+            row[at + K0 + 1 : at + K + 1] = 1.0
+            rows.append((row, (k, k + 1)))
     for kt in range(K0 + 1, K + 1):
         row = np.zeros(nv)
-        row[iR] = 1.0
-        for k in range(1, K0 + 1):
-            row[iC(k, kt)] = -1.0
-        row[iB(kt)] = -F * (1.0 - cfg.delta(kt))
-        row[iS] = 1.0
-        add(row, 0.0, (kt, kt))
+        row[0] = 1.0
+        row[iC + kt : iC + kt + K0 * ntail : ntail] = -1.0
+        row[1 + kt] = -F * (1.0 - cfg.delta(kt))
+        row[-1] = 1.0
+        rows.append((row, (kt, kt)))
         # leftover payload of message d_kt must be nonnegative
         row = np.zeros(nv)
-        row[iR] = -1.0
-        for k in range(1, K0 + 1):
-            row[iC(k, kt)] = 1.0
-        add(row, 0.0)
+        row[0] = -1.0
+        row[iC + kt : iC + kt + K0 * ntail : ntail] = 1.0
+        rows.append((row, None))
     # uncached fragment nonnegative: R >= tau * r_c
     row = np.zeros(nv)
-    row[iR] = -1.0
-    row[iRC] = tau
-    add(row, 0.0)
+    row[0] = -1.0
+    row[1] = tau
+    rows.append((row, None))
     # piggyback slices must come from distinct cached bits: for every set A
     # of phases, sum_{k in A} C[k][kt] <= r_c * #{fragments cached at some
     # k in A}.  Singletons suffice when t = 1 (fragment sets are disjoint).
@@ -618,69 +684,18 @@ def _phase_lp_rows(cfg: SystemConfig, K0: int, t: int):
                 for kt in range(K0 + 1, K + 1):
                     row = np.zeros(nv)
                     for k in subset:
-                        row[iC(k, kt)] = 1.0
-                    row[iRC] = -cap
-                    add(row, 0.0)
-    A_eq = [np.zeros(nv)]
-    for k in range(1, K + 1):
-        A_eq[0][iB(k)] = 1.0
-    return (
-        np.array(A),
-        np.array(b),
-        np.array(A_eq),
-        np.array([1.0]),
-        nv,
-        {
-            "R": iR,
-            "rc": iRC,
-            "B": iB,
-            "C": iC,
-            "S": iS,
-            "ntail": ntail,
-            "tau": tau,
-            "meta": meta,
-        },
-    )
-
-
-def _max_rate_bounds(cfg: SystemConfig, K0: int, t: int, M: float, ntail: int) -> list:
-    """Variable bounds of the max-rate phase LP: the cached rate per fragment
-    fits in memory M, and the slack variable is pinned to zero.
-
-    A cap of HIGHS_INF or more is none to HiGHS.  With K >= 2 it never binds
-    (r_c <= R / tau, and the phase rows bound R); with one receiver the LP
-    comes out unbounded, and linprog raises ConfigError.
-    """
-    rc_cap = M / (cfg.D * math.comb(K0 - 1, t - 1))
-    return [(0, None), (0, rc_cap)] + [(0, 1)] * cfg.K + [(0, None)] * (K0 * ntail) + [(0, 0)]
+                        row[iC + (k - 1) * ntail + kt] = 1.0
+                    row[1] = -cap
+                    rows.append((row, None))
+    A_eq = np.zeros((1, nv))
+    A_eq[0, 2 : K + 2] = 1.0
+    A, tags = zip(*rows)
+    return _PhaseLp(np.array(A), A_eq, tags, K, K0, t)
 
 
 def _subset_sizes(K0: int) -> range:
     """The subset sizes t the scheme allows with K0 cached receivers."""
     return range(1, max(K0, 2))
-
-
-def _extract_phase_result(cfg, K0, t, x, ix, slack=0.0) -> PhaseLpResult:
-    K = cfg.K
-    ntail = ix["ntail"]
-    beta = tuple(max(0.0, float(x[ix["B"](k)])) for k in range(1, K + 1))
-    if ntail:
-        C = np.array(
-            [[x[ix["C"](k, kt)] for kt in range(K0 + 1, K + 1)] for k in range(1, K0 + 1)]
-        )
-        C[np.abs(C) < 1e-11] = 0.0
-    else:
-        C = np.zeros((K0, 0))
-    return PhaseLpResult(
-        # + 0.0 turns a zero that HiGHS returns as -0.0 into 0.0
-        rate=float(x[ix["R"]]) + 0.0,
-        beta=beta,
-        piggyback=tuple(tuple(row) for row in C),
-        K0=K0,
-        t=t,
-        cached_rate_per_fragment=float(x[ix["rc"]]) + 0.0,
-        slack=slack,
-    )
 
 
 def phase_lp_max_rate(cfg: SystemConfig, K0, M, t) -> PhaseLpResult:
@@ -695,16 +710,13 @@ def phase_lp_max_rate(cfg: SystemConfig, K0, M, t) -> PhaseLpResult:
     """
     check_k0_t(K0, t, cfg.K)
     check_memory(M)
-    A, b, A_eq, b_eq, nv, ix = _phase_lp_rows(cfg, K0, t)
-    bounds = _max_rate_bounds(cfg, K0, t, M, ix["ntail"])
-    c = np.zeros(nv)
-    c[ix["R"]] = -1.0
-    res = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    lp = _phase_lp_rows(cfg, K0, t)
+    res = lp.maximize(0, lp.bounds(_rc_cap(cfg, K0, t, M)))
     if not res.success:
         if any(d >= 1.0 for d in cfg.deltas):
             raise DegenerateChannelError("phase LP infeasible: degenerate channel")
         raise OutOfRegimeError("phase LP infeasible")
-    return _extract_phase_result(cfg, K0, t, res.x, ix)
+    return lp.result(res.x)
 
 
 def max_min_slack_assignment(
@@ -732,42 +744,28 @@ def max_min_slack_assignment(
     Raises ConfigError naming the field unless M and ``rate`` are finite and
     >= 0 and every weight is finite and > 0.
     """
-    K, D = cfg.K, cfg.D
-    check_k0_t(K0, t, K)
+    check_k0_t(K0, t, cfg.K)
     check_memory(M)
     if not (math.isfinite(rate) and rate >= 0):
         raise ConfigError(f"rate must be finite and >= 0, got {rate}")
     if weights and not all(math.isfinite(w) and w > 0 for w in map(float, weights.values())):
         raise ConfigError(f"weights must be finite and > 0, got {weights}")
-    A, b, A_eq, b_eq, nv, ix = _phase_lp_rows(cfg, K0, t)
+    lp = _phase_lp_rows(cfg, K0, t)
+    A = lp.A
     if weights:
         A = A.copy()
-        for i, tag in enumerate(ix["meta"]):
+        for i, tag in enumerate(lp.tags):
             if tag is not None:
-                A[i, ix["S"]] = max(float(weights.get(tag, 1.0)), 1e-9)
-    rc_cap = M / (D * math.comb(K0 - 1, t - 1))
-    tau = ix["tau"]
-    if rate < tau * rc_cap - 1e-12:
-        # the full cache cannot fit inside the message at this rate; cap it
-        rc_cap = rate / tau if tau else 0.0
-    bounds = [(rate, rate), (0, rc_cap)] + [(0, 1)] * cfg.K
-    c_bound = (0, 0) if force_zero_piggyback else (0, None)
-    bounds += [c_bound] * (K0 * ix["ntail"])
-    bounds += [(None, None)]
-    c = np.zeros(nv)
-    c[ix["S"]] = -1.0
-    res = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+                A[i, -1] = max(float(weights.get(tag, 1.0)), 1e-9)
+    bounds = lp.bounds(_rc_cap(cfg, K0, t, M), rate, force_zero_piggyback)
+    res = lp.maximize(-1, bounds, A)
     if not res.success:
         raise OutOfRegimeError("slack assignment LP infeasible")
-    # unweighted per-row slack of the solution point
+    # unweighted slack of each tagged row (right-hand side 0) at the solution
     x0 = res.x.copy()
-    x0[ix["S"]] = 0.0
-    gaps = [
-        float(b[i] - A[i] @ x0)
-        for i, tag in enumerate(ix["meta"])
-        if tag is not None
-    ]
-    return _extract_phase_result(cfg, K0, t, res.x, ix, slack=min(gaps))
+    x0[-1] = 0.0
+    gaps = [float(0.0 - row @ x0) for row, tag in zip(A, lp.tags) if tag is not None]
+    return lp.result(res.x, slack=min(gaps))
 
 
 def best_phase_lp_rate(cfg: SystemConfig, K0, M) -> PhaseLpResult:
@@ -819,7 +817,7 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
 
     # a layer without memory caps r_c at 0, so its t cannot change the rate
     sizes = [_subset_sizes(K0) if dm > 0 else (1,) for K0, dm in layers]
-    rows = {(K0, t): _phase_lp_rows(cfg, K0, t) for (K0, _), ts in zip(layers, sizes) for t in ts}
+    lps = {(K0, t): _phase_lp_rows(cfg, K0, t) for (K0, _), ts in zip(layers, sizes) for t in ts}
 
     # the tuples' LPs go _TUPLES_PER_LP at a time into one block-diagonal LP
     # maximizing the sum of their rates; linprog takes its inequality rows as
@@ -829,16 +827,15 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
     tuples = list(itertools.product(*sizes))
     best = -math.inf
     for i in range(0, len(tuples), _TUPLES_PER_LP):
-        A_ub, b_ub, A_eq, bounds, rate_cols = [], [], [], [], []
+        A_ub, A_eq, bounds, rate_cols = [], [], [], []
         for ts in tuples[i : i + _TUPLES_PER_LP]:
             cols, eq = [], []
             for (K0, dm), t in zip(layers, ts):
-                A, b, A_eq_t, _, _, ix = rows[K0, t]
-                eq.append(A_eq_t)
-                cols.append(len(bounds) + ix["R"])
-                bounds += _max_rate_bounds(cfg, K0, t, dm, ix["ntail"])
-                A_ub.append(A)
-                b_ub.append(b)
+                lp = lps[K0, t]
+                eq.append(lp.A_eq)
+                cols.append(len(bounds))  # the layer's R, its first column
+                bounds += lp.bounds(_rc_cap(cfg, K0, t, dm))
+                A_ub.append(lp.A)
             A_eq.append(np.hstack(eq))
             rate_cols.append(cols)
         c = np.zeros(len(bounds))
@@ -846,7 +843,7 @@ def unequal_cache_max_rate(cfg: SystemConfig, memories=None) -> float:
         res = linprog(
             c,
             A_ub=A_ub,
-            b_ub=np.concatenate(b_ub),
+            b_ub=np.zeros(sum(map(len, A_ub))),
             A_eq=A_eq,
             b_eq=np.ones(len(rate_cols)),
             bounds=bounds,

@@ -424,6 +424,22 @@ def build_schedule(
     return PhaseSchedule(validate_demand(demand, cfg.K, cfg.D), phases, shortfall)
 
 
+def _decoded(k: int, phases) -> range:
+    """The numbers of the ``phases`` receiver k decodes: phase q reaches
+    receivers q..K, so k decodes phases 1..k."""
+    return range(1, min(k, len(phases)) + 1)
+
+
+def _readers(K: int, phases) -> tuple[tuple[int, ...], ...]:
+    """``readers[q-1]``: the receivers of 1..K that decode phase q
+    (``_decoded``), in increasing order."""
+    readers = [[] for _ in phases]
+    for k in range(1, K + 1):
+        for q in _decoded(k, phases):
+            readers[q - 1].append(k)
+    return tuple(map(tuple, readers))
+
+
 def _counts_unknown(item: ItemIndex, j: int) -> bool:
     """Accounting rule shared with the phase LP: piggyback bits are credited
     only to the phase owner; everything else to receivers caching it all."""
@@ -434,15 +450,13 @@ def _counts_unknown(item: ItemIndex, j: int) -> bool:
 
 def receiver_unknown_bits(schedule: PhaseSchedule, k: int) -> list[tuple[int, int]]:
     """Per-phase unknown payload bits for receiver k over the phases it must
-    decode (phase indices p <= k).  Returns [(phase, unknown_bits), ...]."""
+    decode (``_decoded``).  Returns [(phase, unknown_bits), ...]."""
     if not 1 <= k <= len(schedule.phases):
         raise ConfigError(f"receiver index {k} out of range")
     out = []
-    for p, phase in enumerate(schedule.phases, start=1):
-        if p > k:
-            break
+    for p in _decoded(k, schedule.phases):
         unknown = sum(
-            it.padded_bits for it in phase.items if _counts_unknown(it, k)
+            it.padded_bits for it in schedule.phases[p - 1].items if _counts_unknown(it, k)
         )
         out.append((p, int(unknown)))
     return out
@@ -462,8 +476,8 @@ def verify_schedule(
     cfg: SystemConfig,
     margin: float = 1.0,
 ) -> VerifyReport:
-    """Deterministic capacity check: for every phase p and every receiver
-    j >= p, the unknown payload bits must fit inside
+    """Deterministic capacity check: for every phase p and every receiver j
+    that decodes it (``_readers``), the unknown payload bits must fit inside
     margin * budget_p * F * (1 - delta_j) plus F * (#items + 1) bits.
 
     The F * (#items + 1) bits of a phase absorb the provable floor/pad noise
@@ -475,9 +489,10 @@ def verify_schedule(
         raise ConfigError(f"margin must lie in (0, 1], got {margin}")
     rows = []
     ok = True
+    readers = _readers(cfg.K, schedule.phases)
     for p, phase in enumerate(schedule.phases, start=1):
         slack = cfg.F * (len(phase.items) + 1)
-        for j in range(p, cfg.K + 1):
+        for j in readers[p - 1]:
             unknown = sum(
                 it.padded_bits for it in phase.items if _counts_unknown(it, j)
             )

@@ -93,6 +93,8 @@ from .schedule import (
     PAD,
     ItemIndex,
     PhaseIndex,
+    _decoded,
+    _readers,
     build_schedule,
     flat_library,
     gather_bits,
@@ -295,12 +297,6 @@ def plan_scheme(
 _BLOCK_BYTES = 16 << 20  # run state a block of runs decoded together may hold
 
 
-def _decoded(k: int, phases) -> range:
-    """The numbers of the ``phases`` receiver k decodes: phase q reaches
-    receivers q..K, so k decodes phases 1..k."""
-    return range(1, min(k, len(phases)) + 1)
-
-
 def _levels(phases, size: int) -> tuple[tuple[int, ...], ...]:
     """The numbers of the nonempty ``phases``, level by level, each level in
     phase order.  Phase q's dependency level is 0 when no earlier phase's
@@ -343,11 +339,7 @@ def _pattern(phases, labels, cached: np.ndarray) -> _Pattern:
     """The ``_Pattern`` of ``phases`` and ``labels`` over the cached masks
     ``cached`` of K receivers."""
     K, size = cached.shape
-    readers = [[] for _ in phases]
-    for k in range(1, K + 1):
-        for q in _decoded(k, phases):
-            readers[q - 1].append(k)
-    return _Pattern(phases, tuple(labels), _levels(phases, size), tuple(map(tuple, readers)))
+    return _Pattern(phases, tuple(labels), _levels(phases, size), _readers(K, phases))
 
 
 def _library_order(labels, demand, D: int) -> list[int]:
@@ -671,20 +663,34 @@ def _plan_from_parameters(cfg: SystemConfig, scheme: str, params: SchemeParamete
     )
 
 
+def _given_plan(cfg: SystemConfig, scheme: str, plan: SchemePlan, backoff=None) -> SchemePlan:
+    """``plan`` if it is one for ``scheme``, made from ``cfg`` (its
+    ``cfg_sim`` is ``cfg`` but for the rates) and, when ``backoff`` is
+    given, at that backoff; else a ConfigError."""
+    if plan.scheme != scheme:
+        raise ConfigError(f"params is a plan for {plan.scheme!r}, not for {scheme!r}")
+    if plan.cfg_sim.D != cfg.D or replace(plan.cfg_sim, rates=cfg.rates) != cfg:
+        raise ConfigError(
+            "params is a plan for another config: its cfg_sim differs from cfg beyond the rates"
+        )
+    if backoff is not None and backoff != plan.backoff:
+        raise ConfigError(f"backoff {backoff} differs from the plan's {plan.backoff}")
+    return plan
+
+
 def run_trial(cfg: SystemConfig, scheme: str, params, demand, seed) -> list[bool]:
     """One end-to-end delivery for one demand tuple.
 
     ``params`` is a SchemePlan (see plan_scheme), an explicit
     SchemeParameters (used verbatim at the config rates), or None for
-    nominal-rate planning; a SchemePlan must be one for ``scheme``.  Returns
-    per-receiver success flags; decode failure is a result, never an
-    exception.  ``seed`` is a non-negative int or a sequence of them.
+    nominal-rate planning; a SchemePlan must be one for ``scheme`` and
+    ``cfg`` (``_given_plan``).  Returns per-receiver success flags; decode
+    failure is a result, never an exception.  ``seed`` is a non-negative
+    int or a sequence of them.
     """
     seed_material(seed)  # a seed that cannot be simulated fails before planning
     if isinstance(params, SchemePlan):
-        if params.scheme != scheme:
-            raise ConfigError(f"params is a plan for {params.scheme!r}, not for {scheme!r}")
-        plan = params
+        plan = _given_plan(cfg, scheme, params)
     elif isinstance(params, SchemeParameters) and scheme != "common-demand":
         plan = _plan_from_parameters(cfg, scheme, params)
     else:
@@ -786,11 +792,11 @@ def estimate_pe(
     ``demand_cap``; otherwise ``demand_cap`` tuples are sampled uniformly
     (with replacement) once per experiment.  Run (demand index di, trial j)
     is seeded by (seed, di, j); trial j fails when any receiver fails for
-    any demand in that trial.  ``params`` is a SchemePlan for ``scheme``,
-    or what ``plan_scheme`` takes.  ``backoff`` defaults to 0.9 when
-    ``estimate_pe`` plans, and to the plan's own when given a plan; a plan
-    rejects any other.  ``seed`` is a non-negative int.  Runs go
-    single-threaded; ``threads`` accepts only 1.
+    any demand in that trial.  ``params`` is a SchemePlan for ``scheme`` and
+    ``cfg`` (``_given_plan``), or what ``plan_scheme`` takes.  ``backoff``
+    defaults to 0.9 when ``estimate_pe`` plans, and to the plan's own when
+    given a plan; a plan rejects any other.  ``seed`` is a non-negative
+    int.  Runs go single-threaded; ``threads`` accepts only 1.
     """
     seed = check_seed(seed)
     check_count("trials", trials)
@@ -799,11 +805,7 @@ def estimate_pe(
         raise ConfigError(f"threads must be 1 (runs are single-threaded), got {threads!r}")
     t0 = time.perf_counter()
     if isinstance(params, SchemePlan):
-        if params.scheme != scheme:
-            raise ConfigError(f"params is a plan for {params.scheme!r}, not for {scheme!r}")
-        if backoff is not None and backoff != params.backoff:
-            raise ConfigError(f"backoff {backoff} differs from the plan's {params.backoff}")
-        plan = params
+        plan = _given_plan(cfg, scheme, params, backoff)
     else:
         plan = plan_scheme(cfg, scheme, 0.9 if backoff is None else backoff, params)
     size = cfg.demand_set.size(cfg.K, cfg.D)

@@ -77,9 +77,11 @@ def test_linprog_entry_point_matches_scipy_highs(monkeypatch):
     """regions.linprog gives scipy linprog's status and, when solved, its x
     bit for bit: on max-rate phase LPs, on slack-assignment LPs (rate pinned,
     slack free), on phase LPs with the rate pinned and no slack, which have
-    no solution when the rate is too high, and on the stacked unequal-cache
+    no solution when the rate is too high, on the stacked unequal-cache
     LPs, whose inequality rows go in as the layers' blocks and whose
-    time-sharing rows go in as one block per tuple."""
+    time-sharing rows go in as one block per tuple, and on the slack fits
+    that plan_scheme runs: weighted (every mc set-up) and with the
+    piggyback rates forced to zero (separate-asym-2rx)."""
     rng = np.random.default_rng(53)
     statuses = []
     for _ in range(40):
@@ -87,12 +89,13 @@ def test_linprog_entry_point_matches_scipy_highs(monkeypatch):
         K0 = int(rng.integers(1, cfg.K + 1))
         t = int(rng.integers(1, max(K0, 2)))
         M, rate = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 1.0))
-        A, b, A_eq, b_eq, nv, ix = regions._phase_lp_rows(cfg, K0, t)
-        max_rate = regions._max_rate_bounds(cfg, K0, t, M, ix["ntail"])
+        lp = regions._phase_lp_rows(cfg, K0, t)
+        A, b, A_eq, b_eq = lp.A, np.zeros(len(lp.A)), lp.A_eq, np.ones(1)
+        max_rate = lp.bounds(regions._rc_cap(cfg, K0, t, M))
         slack = [(rate, rate)] + max_rate[1:-1] + [(None, None)]
         pinned = [(rate, rate)] + max_rate[1:]
-        for col, bounds in ((ix["R"], max_rate), (ix["S"], slack), (ix["R"], pinned)):
-            c = np.zeros(nv)
+        for col, bounds in ((0, max_rate), (lp.nv - 1, slack), (0, pinned)):
+            c = np.zeros(lp.nv)
             c[col] = -1.0
             ours = regions.linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
             ref = linprog(c, A_ub=A, b_ub=b, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
@@ -113,6 +116,18 @@ def test_linprog_entry_point_matches_scipy_highs(monkeypatch):
         ours = regions.linprog(c, **kw)
         blocks = {key: sparse.block_diag(kw[key]) for key in ("A_ub", "A_eq")}
         ref = linprog(c, **{**kw, **blocks}, method="highs")
+        assert ours.status == ref.status == 0
+        assert np.array_equal(ours.x, ref.x)
+
+    fits = []
+    monkeypatch.setattr(regions, "linprog", lambda c, **kw: fits.append((c, kw)) or solve(c, **kw))
+    for kind in ("weighted", "force-zero") * 10:
+        _slack_fit(kind, rng)
+    monkeypatch.undo()
+    assert len(fits) == 20
+    for c, kw in fits:
+        ours = regions.linprog(c, **kw)
+        ref = linprog(c, **kw, method="highs")
         assert ours.status == ref.status == 0
         assert np.array_equal(ours.x, ref.x)
 
@@ -166,12 +181,29 @@ class FreshSolverPerAttempt:
         return getattr(self.solver, name)
 
 
+def _slack_fit(kind, rng):
+    """A slack fit as plan_scheme runs one, at a random phase-LP point drawn
+    from ``rng``: "weighted" with a weight on every (phase, audience
+    receiver) pair, as with n set, or "force-zero" with every piggyback
+    rate pinned to 0, weighted or not.  Returns its result."""
+    cfg = random_unequal_cfg(rng, int(rng.integers(2, 5)))
+    K0 = int(rng.integers(1, cfg.K + 1))
+    t = int(rng.integers(1, max(K0, 2)))
+    M, rate = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 1.0))
+    weights = None
+    if kind == "weighted" or rng.integers(2):
+        pairs = [(p, j) for p in range(1, cfg.K + 1) for j in range(p, cfg.K + 1)]
+        weights = {pair: float(rng.uniform(0.01, 1.0)) for pair in pairs}
+    return max_min_slack_assignment(cfg, K0, M, t, rate, kind == "force-zero", weights)
+
+
 def _planning_lp(kind, seed):
     """One LP as the planning code poses it, made from ``seed``: a phase LP
-    at its largest rate, a slack fit (rate pinned, slack free), a phase LP
-    with the rate pinned and no slack (infeasible when the rate is too
-    high), one of the stacked unequal-cache LPs, an LP that presolve calls
-    infeasible and the simplex solves, or one with a NaN bound."""
+    at its largest rate, a slack fit (rate pinned, slack free), a weighted
+    or force-zero slack fit (``_slack_fit``), a phase LP with the rate
+    pinned and no slack (infeasible when the rate is too high), one of the
+    stacked unequal-cache LPs, an LP that presolve calls infeasible and the
+    simplex solves, or one with a NaN bound."""
     rng = np.random.default_rng(seed)
     if kind == "nan":
         return np.zeros(2), {"A_ub": np.eye(2), "b_ub": np.array([np.nan, 1.0])}
@@ -182,6 +214,13 @@ def _planning_lp(kind, seed):
             mp.setattr(regions, "linprog", capture)
             unequal_cache_max_rate(random_unequal_cfg(rng, int(rng.integers(2, 6))))
         return stacked[int(rng.integers(len(stacked)))]
+    if kind in ("weighted", "force-zero"):
+        fits, solve = [], regions.linprog
+        capture = lambda c, **kw: fits.append((c, kw)) or solve(c, **kw)  # noqa: E731
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions, "linprog", capture)
+            _slack_fit(kind, rng)
+        return fits[0]
     if kind == "presolve-infeasible":
         M = float(rng.uniform(5.1e-8, 1e-7))
         cfg = SystemConfig(K=2, D=1, F=1, deltas=(1.0, 0.0), rates=[1.0], memories=(1.0, M))
@@ -191,17 +230,18 @@ def _planning_lp(kind, seed):
         K0 = int(rng.integers(1, cfg.K + 1))
         t = int(rng.integers(1, max(K0, 2)))
         M, rate = float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 1.0))
-    A, b, A_eq, b_eq, nv, ix = regions._phase_lp_rows(cfg, K0, t)
-    max_rate = regions._max_rate_bounds(cfg, K0, t, M, ix["ntail"])
+    lp = regions._phase_lp_rows(cfg, K0, t)
+    max_rate = lp.bounds(regions._rc_cap(cfg, K0, t, M))
     col, bounds = {
-        "phase": (ix["R"], max_rate),
-        "presolve-infeasible": (ix["R"], max_rate),
-        "slack": (ix["S"], [(rate, rate)] + max_rate[1:-1] + [(None, None)]),
-        "pinned": (ix["R"], [(rate, rate)] + max_rate[1:]),
+        "phase": (0, max_rate),
+        "presolve-infeasible": (0, max_rate),
+        "slack": (lp.nv - 1, [(rate, rate)] + max_rate[1:-1] + [(None, None)]),
+        "pinned": (0, [(rate, rate)] + max_rate[1:]),
     }[kind]
-    c = np.zeros(nv)
+    c = np.zeros(lp.nv)
     c[col] = -1.0
-    return c, {"A_ub": A, "b_ub": b, "A_eq": A_eq, "b_eq": b_eq, "bounds": bounds}
+    kw = {"A_ub": lp.A, "b_ub": np.zeros(len(lp.A)), "A_eq": lp.A_eq, "b_eq": np.ones(1)}
+    return c, {**kw, "bounds": bounds}
 
 
 def _solve_in_order(lps):
@@ -223,7 +263,10 @@ def _solve_in_order(lps):
 @given(
     sequence=st.lists(
         st.tuples(
-            st.sampled_from(["phase", "slack", "pinned", "unequal", "presolve-infeasible"]),
+            st.sampled_from([
+                "phase", "slack", "weighted", "force-zero", "pinned", "unequal",
+                "presolve-infeasible",
+            ]),
             st.integers(0, 2**32 - 1),
         ),
         min_size=2,
@@ -726,14 +769,14 @@ def best_tuple_lp_rate(cfg):
     for ts in itertools.product(*(range(1, max(K0, 2)) for K0, _ in layers)):
         blocks = [regions._phase_lp_rows(cfg, K0, t) for (K0, _), t in zip(layers, ts)]
         c, bounds = [], []
-        for (K0, dm), t, (_, _, _, _, nv, ix) in zip(layers, ts, blocks):
-            c += [-1.0 if j == ix["R"] else 0.0 for j in range(nv)]
-            bounds += regions._max_rate_bounds(cfg, K0, t, dm, ix["ntail"])
+        for (K0, dm), t, lp in zip(layers, ts, blocks):
+            c += [-1.0 if j == 0 else 0.0 for j in range(lp.nv)]
+            bounds += lp.bounds(regions._rc_cap(cfg, K0, t, dm))
         res = linprog(
             c,
-            A_ub=block_diag(*(blk[0] for blk in blocks)),
-            b_ub=np.concatenate([blk[1] for blk in blocks]),
-            A_eq=np.hstack([blk[2] for blk in blocks]),
+            A_ub=block_diag(*(lp.A for lp in blocks)),
+            b_ub=np.zeros(sum(len(lp.A) for lp in blocks)),
+            A_eq=np.hstack([lp.A_eq for lp in blocks]),
             b_eq=[1.0],
             bounds=bounds,
             method="highs",

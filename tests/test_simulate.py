@@ -126,26 +126,37 @@ def test_run_trial_with_explicit_parameters():
 
 
 @pytest.mark.parametrize(
-    "call", ["plan_scheme", "estimate_pe", "run_trial", "estimate_pe-plan", "run_trial-plan"]
+    "call",
+    [
+        "plan_scheme", "estimate_pe", "run_trial", "estimate_pe-plan", "run_trial-plan",
+        "estimate_pe-config", "run_trial-config",
+    ],
 )
 def test_params_the_scheme_would_ignore_are_rejected(call):
     """Only general takes SchemeParameters in plan_scheme, and a SchemePlan
-    must be one for the scheme asked for.  plan_scheme used to drop params
-    for any other scheme, so estimate_pe ran joint-2rx at K0 = 1 when asked
-    for K0 = 2 and run_trial ran common-demand without its params; a plan
-    made for general ran as joint-2rx and reported general."""
+    must be one for the scheme and the config asked for.  plan_scheme used
+    to drop params for any other scheme, so estimate_pe ran joint-2rx at K0
+    = 1 when asked for K0 = 2 and run_trial ran common-demand without its
+    params; a plan made for general ran as joint-2rx and reported general.
+    A plan made for another config ran that config's channel and n:
+    estimate_pe reported the config it was given, and run_trial raised
+    nothing."""
     from cachebc import SchemeParameters
 
     cfg = cfg_joint(n=400)
     params = SchemeParameters(K0=2, t=1, beta=(0.5, 0.5))
     general = plan_scheme(cfg, "general", backoff=0.9)
     common = replace(cfg, rates=(2.4, 1.2), demand_set=DemandSet(kind="common"))
+    other = cfg_joint(n=400, delta=(0.5, 0.1))
+    plan = plan_scheme(cfg_joint(n=800), "joint-2rx", 0.9)
     calls = {
         "plan_scheme": lambda: plan_scheme(cfg, "joint-2rx", params=params),
         "estimate_pe": lambda: estimate_pe(cfg, "joint-2rx", params=params, trials=1),
         "run_trial": lambda: run_trial(common, "common-demand", params, (1, 1), 0),
         "estimate_pe-plan": lambda: estimate_pe(cfg, "joint-2rx", params=general, trials=1),
         "run_trial-plan": lambda: run_trial(cfg, "joint-2rx", general, (1, 2), 0),
+        "estimate_pe-config": lambda: estimate_pe(other, "joint-2rx", plan, trials=3, seed=1),
+        "run_trial-config": lambda: run_trial(other, "joint-2rx", plan, (1, 2), 0),
     }
     with pytest.raises(ConfigError, match="params"):
         calls[call]()
