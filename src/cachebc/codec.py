@@ -6,12 +6,23 @@ bits, derived deterministically from (seed, phase id, j); one coefficient
 vector serves all F bit planes.  The decoder subtracts the contribution of
 blocks it already holds (cached bits, zero padding) and solves for the
 rest by bit-packed Gauss-Jordan elimination.  ``decode_batch`` decodes many
-receivers of many phases in one call and eliminates all their systems
-together with a batched Method of Four Russians.  ``decode_arrays`` decodes
-one receiver from the packets it received, on its own path, and
-``solve_gf2`` is the single-system form of ``solve_gf2_batch``.
+receivers of many phases in one call: the systems whose row fits one
+64-bit word as word systems, the others together with a batched Method of
+Four Russians.  ``decode_arrays`` decodes one receiver from the packets it
+received, on its own path, and ``solve_gf2`` is the single-system form of
+``solve_gf2_batch``; both always take the Method of Four Russians.
 
-A system stays packed from the draw to the elimination.  The coefficient
+A phase of B blocks of F bits with B + F <= 64 (every mc-general-k4 phase:
+B <= 29, F = 16) decodes as word systems: each packet one 64-bit word, its
+coefficients at bits 0..B-1 and its right-hand side at 64-F..63.  All word
+systems of one F in a call are built at once, their right-hand sides from
+16-entry tables per nibble of four blocks, and eliminated column by column
+over one (systems, rows) array of words.  Such a system has tens of rows,
+and a strip of the Method of Four Russians would build a 256-entry table
+for each system, several times more entries than it has rows, on top of a
+per-system build and product.
+
+A wider system stays packed from the draw to the elimination.  The coefficient
 rows are drawn as packed bytes, bit i of byte g the coefficient of block
 8g+i; a system's coefficient part is those bytes for the packets it reads,
 ANDed with the packed mask of its unknown blocks, so a known block stays in
@@ -109,8 +120,9 @@ def _gf2_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 def encode_payloads(blocks, count: int, phase_id: int, seed) -> np.ndarray:
     """The (count, F) payload matrix of ``count`` coded packets over the
     (B, F) source blocks; row j is packet j.  Always the BLAS product of
-    ``_gf2_matmul``, so a large ``decode_batch`` system, whose right-hand
-    side is a table product, is checked against an independent encode."""
+    ``_gf2_matmul``, so a large or a word ``decode_batch`` system, whose
+    right-hand side comes from tables, is checked against an independent
+    encode."""
     blocks = np.asarray(blocks, dtype=np.uint8)
     B, F = blocks.shape if blocks.ndim == 2 else (0, 0)
     if B == 0:
@@ -132,7 +144,8 @@ _KERNEL_WORDS = 1 << 19
 # shared 2-vCPU Xeon VM (numpy 2.4, F = 16, m = B + 16) the table product
 # overtakes BLAS near m B = 6e4 with OpenBLAS's default two threads, near
 # 1e5 with one.  Criterion-5 systems sit at 3.3e5-5.9e5, where it is
-# 1.4-1.7x faster; mc-general-k4's at 1.3e3 or less, where it is 2-3x slower
+# 1.4-1.7x faster.  A system whose row fits a word takes neither
+# (``_word_systems``)
 _TABLE_PRODUCT_SIZE = 1 << 16
 
 
@@ -382,9 +395,178 @@ def _systems(phase, todo) -> list:
     return out
 
 
+# -- word systems: one 64-bit word per packet ---------------------------------
+
+_WORD = 64  # a word system's row: coefficients at bits 0..B-1, payload at 64-F..63
+
+
+class _Words(NamedTuple):
+    """Word systems of one F, one per attempt: row r of system s is
+    ``rows[s, r]``, bit i the coefficient of block i (zero for a known
+    block and past B) and bit 64-F+j payload bit j of its right-hand side;
+    the rows past a system's packets are zero.  The systems' known masks
+    and known values sit one after another in ``known`` and ``values``,
+    ``sizes[s]`` blocks each."""
+
+    rows: np.ndarray  # (S, R) uint64
+    known: np.ndarray  # (N,) bool, N = sizes.sum()
+    values: np.ndarray  # (N, F) uint8 bits
+    sizes: np.ndarray  # (S,) B of each system
+    F: int
+
+
+def _is_word(blocks) -> bool:
+    """Whether a phase of (B, F) source blocks decodes as word systems."""
+    B, F = blocks.shape
+    return F >= 1 and B + F <= _WORD
+
+
+def _blocks_of_systems(sizes: np.ndarray):
+    """(starts, owner, place) of systems of ``sizes`` blocks whose blocks
+    sit one after another: system s starts at ``starts[s]``, and block n is
+    block ``place[n]`` of system ``owner[n]``."""
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return starts, owner, np.arange(len(owner)) - np.repeat(starts, sizes)
+
+
+def _word_systems(phases, todo) -> _Words:
+    """The ``_Words`` of the attempts ``todo`` = [(phase number, reception
+    number, packet indices to use)], all of one F, every phase's B + F <= 64.
+
+    Each phase's coefficient rows are drawn once, up to the last packet its
+    attempts read, one word per row (bit i of the little-endian word is
+    block i), and one gather takes every system's rows from them.  A
+    system's coefficient part is those words ANDed with its unknown blocks'
+    mask, which also clears the filler bits past B.  Its right-hand side is
+    the payloads less the known blocks' contribution, by the encode rule of
+    ``encode_payloads`` over X = blocks ^ known values: each block of X in
+    the top F bits of a word, per nibble of four blocks a 16-entry table of
+    their XOR combinations, built in four doubling steps, and the XOR of one
+    gather per nibble of the coefficient word.  The table rows past B are
+    zero, so filler bits add nothing."""
+    F = phases[todo[0][0]][0].shape[1]
+    S = len(todo)
+    gis = [gi for gi, _, _ in todo]
+    recs = [phases[gi][3][ri] for gi, ri, _ in todo]
+    lens = np.array([len(sel) for _, _, sel in todo])
+    read = np.concatenate([sel for _, _, sel in todo]).astype(np.intp, copy=False)
+    count = {}  # phase -> rows to draw
+    for gi, last in zip(gis, np.maximum.reduceat(read, np.cumsum(lens) - lens).tolist()):
+        count[gi] = max(count.get(gi, 0), last + 1)
+    drawn, first, offset = [np.zeros(1, np.uint64)], {}, 1  # word 0 pads the shorter systems
+    for gi, c in count.items():
+        blocks, phase_id, seed, _ = phases[gi]
+        drawn.append(_coefficient_bytes(seed, phase_id, c, len(blocks)).view("<u8").reshape(c))
+        first[gi], offset = offset, offset + c
+    R = int(lens.max())
+    index = np.zeros((S, R), np.intp)
+    index[np.arange(R) < lens[:, None]] = read + np.repeat([first[gi] for gi in gis], lens)
+    words = np.concatenate(drawn).astype(np.uint64, copy=False)[index]
+    sizes = np.array([len(phases[gi][0]) for gi in gis])
+    starts, owner, place = _blocks_of_systems(sizes)
+    known = np.concatenate([rec.known for rec in recs])
+    values = np.concatenate([rec.values for rec in recs])
+    X = np.zeros((len(known), _WORD), np.uint8)  # block i's bits at 64-F..63 of row i
+    top = X[:, _WORD - F :]
+    np.concatenate([phases[gi][0] for gi in gis], out=top)
+    top ^= values * known[:, None]
+    groups = -(-int(sizes.max()) // 4)
+    X_words = np.zeros((S, 4 * groups), np.uint64)
+    X_words[owner, place] = np.packbits(X.reshape(-1), bitorder="little").view("<u8")
+    X_words = X_words.reshape(S, groups, 4)
+    tables = np.empty((S, groups, 16), np.uint64)
+    tables[:, :, 0] = 0
+    for k in range(4):
+        np.bitwise_xor(tables[:, :, : 1 << k], X_words[:, :, k, None], out=tables[:, :, 1 << k : 2 << k])
+    tables = tables.reshape(-1)
+    coef_bytes = words.astype("<u8", copy=False).view(np.uint8).reshape(S, R, 8)
+    entry = np.arange(0, 16 * groups * S, 16 * groups)[:, None]  # table 0 of each system
+    rhs = np.zeros((S, R), np.uint64)
+    for g in range(groups):
+        byte = coef_bytes[:, :, g // 2]
+        rhs ^= tables.take(entry + (byte >> 4 if g % 2 else byte & 15))
+        entry += 16
+    unknown = np.bitwise_or.reduceat((~known).astype(np.uint64) << place.astype(np.uint64), starts)
+    rows = words & unknown[:, None]
+    rows |= rhs
+    return _Words(rows, known, values, sizes, F)
+
+
+def _solve_words(systems: _Words) -> list:
+    """Gauss-Jordan elimination of every ``_Words`` system at once, column
+    by column: the first row that has the column's bit and is not yet a
+    pivot becomes its pivot, and is XORed into every other row with the
+    bit.  Known blocks and filler are zero columns and never pivot.
+    Returns (blocks, deficit) per system, as ``decode_batch`` reports them:
+    the (B, F) decoded blocks, the known ones as given, when every unknown
+    block has a pivot (a view into one array), else None and u - rank."""
+    rows, known, values, sizes, F = systems
+    rows = rows.copy()
+    S, R = rows.shape
+    C = int(sizes.max())
+    ar = np.arange(S)
+    free = np.ones((S, R), bool)  # rows that are no pivot yet
+    pivot = np.zeros((S, C), np.intp)  # the pivot row of each column, 0 without one
+    rank = np.zeros(S, np.intp)
+    for c in range(C):
+        has = (rows & np.uint64(1 << c)).astype(bool)
+        cand = has & free
+        r = cand.argmax(axis=1)  # on bools, argmax stops at the first True
+        found = cand[ar, r]
+        piv = rows[ar, r] * found
+        rows ^= has * piv[:, None]
+        rows[ar, r] |= piv  # the XOR cleared the pivot row itself
+        free[ar, r] &= ~found
+        pivot[:, c] = r
+        rank += found
+    starts, owner, place = _blocks_of_systems(sizes)
+    unknown = sizes - np.add.reduceat(known, starts, dtype=np.intp)
+    # each block's x from its pivot row's top F bits; known blocks keep their values
+    x = rows[owner, pivot[owner, place]].astype("<u8", copy=False)
+    x = np.unpackbits(x.view(np.uint8), bitorder="little").reshape(-1, _WORD)[:, _WORD - F :]
+    decoded = np.where(known[:, None], values, x)
+    return [
+        (decoded[a : a + b], 0) if r == u else (None, u - r)
+        for a, b, u, r in zip(starts.tolist(), sizes.tolist(), unknown.tolist(), rank.tolist())
+    ]
+
+
+def _solve(phases, todo) -> list:
+    """(blocks, deficit) of each attempt (phase number, reception number,
+    packet indices to use) of ``todo``, as ``_solve_words`` gives them.  An
+    attempt whose phase's row fits a word (``_is_word``) is solved with the
+    other word systems of its F; every other one is built by ``_systems``
+    and solved with the rest by ``_eliminate``."""
+    out = [None] * len(todo)
+    words, packed = {}, {}  # F -> word attempts; phase -> packed attempts
+    for i, (gi, _, _) in enumerate(todo):
+        blocks = phases[gi][0]
+        if _is_word(blocks):
+            words.setdefault(blocks.shape[1], []).append(i)
+        else:
+            packed.setdefault(gi, []).append(i)
+    for group in words.values():
+        for i, result in zip(group, _solve_words(_word_systems(phases, [todo[i] for i in group]))):
+            out[i] = result
+    built = []  # (attempt number, packed system)
+    for gi, group in packed.items():
+        built += zip(group, (system for _, system in _systems(phases[gi], [todo[i][1:] for i in group])))
+    for (i, _), (x, deficit) in zip(built, _eliminate([system for _, system in built])):
+        if x is None:
+            out[i] = (None, deficit)
+        else:
+            rec = phases[todo[i][0]][3][todo[i][1]]
+            blocks = rec.values.copy()
+            blocks[~rec.known] = x
+            out[i] = (blocks, 0)
+    return out
+
+
 def decode_batch(phases) -> list:
-    """Decode every reception of every coded phase in one batched
-    elimination; returns one list of ``DecodeResult`` per phase.
+    """Decode every reception of every coded phase, the systems of each
+    kind eliminated together; returns one list of ``DecodeResult`` per
+    phase.
 
     ``phases`` holds (blocks, phase_id, seed, receptions) tuples: the
     phase's (B, F) source blocks, its codec stream (seed material, or the
@@ -401,12 +583,19 @@ def decode_batch(phases) -> list:
     full-rank subset gives the unique solution and a final deficit is that
     of all m packets: the results do not depend on the size of the first
     attempt.
+
+    A phase whose B coefficient bits and F payload bits fit one 64-bit
+    word decodes as word systems (``_word_systems``, ``_solve_words``):
+    all of them, of every phase of one F, are built and eliminated together
+    as one (systems, rows) array of words.  The packed systems and the
+    Method of Four Russians do not pay there: a strip's 256-entry tables
+    hold several times more entries than such a system has rows.  A wider
+    phase keeps ``_systems`` and ``_eliminate``.
     """
     results = [[None] * len(phase[3]) for phase in phases]
-    attempts = []  # (phase, reception, packed system)
+    todo = []  # (phase, reception, packets read)
     for gi, phase in enumerate(phases):
         B, receptions = len(phase[0]), phase[3]
-        todo = []
         for ri, rec in enumerate(receptions):
             u, m = B - int(np.count_nonzero(rec.known)), len(rec.indices)
             if u == 0:
@@ -414,27 +603,16 @@ def decode_batch(phases) -> list:
             elif m < u:
                 results[gi][ri] = DecodeResult(ok=False, blocks=None, rank_deficit=u - m)
             else:
-                todo.append((ri, rec.indices[: u + _FIRST_ATTEMPT_EXTRA]))
-        attempts += [(gi, ri, system) for ri, system in _systems(phase, todo)]
+                todo.append((gi, ri, rec.indices[: u + _FIRST_ATTEMPT_EXTRA]))
     for rerun in (False, True):
-        solved = _eliminate([system for _, _, system in attempts])
-        retry = {}
-        for (gi, ri, system), (x, deficit) in zip(attempts, solved):
+        retry = []  # a retry encodes the further packets it reads
+        for (gi, ri, sel), (blocks, deficit) in zip(todo, _solve(phases, todo)):
             rec = phases[gi][3][ri]
-            if x is None and not rerun and len(rec.indices) > len(system.coefs):
-                retry.setdefault(gi, []).append((ri, rec.indices))
-            elif x is None:
-                results[gi][ri] = DecodeResult(ok=False, blocks=None, rank_deficit=deficit)
+            if blocks is None and not rerun and len(rec.indices) > len(sel):
+                retry.append((gi, ri, rec.indices))
             else:
-                blocks = rec.values.copy()
-                blocks[~rec.known] = x
-                results[gi][ri] = DecodeResult(ok=True, blocks=blocks, rank_deficit=0)
-        # a retry encodes the further packets it reads
-        attempts = [
-            (gi, ri, system)
-            for gi, todo in retry.items()
-            for ri, system in _systems(phases[gi], todo)
-        ]
+                results[gi][ri] = DecodeResult(ok=blocks is not None, blocks=blocks, rank_deficit=deficit)
+        todo = retry
     return results
 
 
@@ -446,9 +624,10 @@ def decode_arrays(
 
     ``known`` maps block index -> (F,) bit value; those columns are
     eliminated before solving.  The known blocks' contribution is always
-    the BLAS product of ``_gf2_matmul``, so comparing this with
-    ``decode_batch``, whose large systems use the table product, checks
-    one product against the other.
+    the BLAS product of ``_gf2_matmul`` and the elimination always
+    ``_m4ri``, so comparing this with ``decode_batch``, whose large systems
+    use the table product and whose word systems their own tables and
+    elimination, checks one implementation against the other.
     """
     known = known or {}
     indices = np.asarray(indices, dtype=np.int64)

@@ -740,9 +740,13 @@ def max_min_slack_assignment(
     ``force_zero_piggyback`` pins every C to 0, which reproduces plain
     separate-coding layering.  The result's ``slack`` is always the
     unweighted minimum slack of the chosen point, in bits per channel use.
+    The pairs with a capacity row are (k, k) for every receiver k and
+    (k, k + 1) for k <= K0 (``_phase_lp_rows``); a pair left out of
+    ``weights`` gets weight 1.
 
     Raises ConfigError naming the field unless M and ``rate`` are finite and
-    >= 0 and every weight is finite and > 0.
+    >= 0, every weight is finite and > 0, and every key of ``weights`` is a
+    pair with a capacity row.
     """
     check_k0_t(K0, t, cfg.K)
     check_memory(M)
@@ -751,6 +755,9 @@ def max_min_slack_assignment(
     if weights and not all(math.isfinite(w) and w > 0 for w in map(float, weights.values())):
         raise ConfigError(f"weights must be finite and > 0, got {weights}")
     lp = _phase_lp_rows(cfg, K0, t)
+    stray = [key for key in weights or () if key not in lp.tags]
+    if stray:
+        raise ConfigError(f"weights must name pairs with a capacity row, got {stray}")
     A = lp.A
     if weights:
         A = A.copy()

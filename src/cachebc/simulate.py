@@ -80,6 +80,7 @@ from .placement import (
 from .regions import (
     HIGHS_INF,
     OutOfRegimeError,
+    _phase_lp_rows,
     best_phase_lp_rate,
     common_demand_contains,
     general_max_symmetric_rate,
@@ -267,13 +268,13 @@ def plan_scheme(
     fit = max_min_slack_assignment(cfg, K0, layout_M, t, rate_sim, force_zero)
     if cfg.n is not None:
         # second pass: spread the backoff margin in units of per-constraint
-        # channel-noise standard deviation (sigma ~ F * sqrt(beta n d (1-d)))
+        # channel-noise standard deviation (sigma ~ F * sqrt(beta n d (1-d))),
+        # one weight per (phase p, audience receiver j) with a capacity row
         weights = {}
-        for p in range(1, cfg.K + 1):
-            for j in range(p, cfg.K + 1):
-                dj = cfg.delta(j)
-                var = max(fit.beta[p - 1] * cfg.n * dj * (1.0 - dj), 1.0)
-                weights[(p, j)] = cfg.F * math.sqrt(var) / cfg.n
+        for p, j in filter(None, _phase_lp_rows(cfg, K0, t).tags):
+            dj = cfg.delta(j)
+            var = max(fit.beta[p - 1] * cfg.n * dj * (1.0 - dj), 1.0)
+            weights[(p, j)] = cfg.F * math.sqrt(var) / cfg.n
         fit = max_min_slack_assignment(cfg, K0, layout_M, t, rate_sim, force_zero, weights)
     m_eff = fit.cached_rate_per_fragment * cfg.D * math.comb(K0 - 1, t - 1)
     sched_params = SchemeParameters(K0=K0, t=t, beta=fit.beta, piggyback=fit.piggyback)

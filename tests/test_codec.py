@@ -400,6 +400,82 @@ def test_decode_batch_equals_single_decodes():
     assert results[0].ok  # the fallback found the late packet
 
 
+def word_boundary_phase(rng, B, F, phase_id, seed):
+    """A phase of B blocks of F bits whose receptions are each kind of
+    outcome: no unknowns, too few packets, full decodes with no, some and
+    most blocks known, and one or two unknown blocks whose first u + 16
+    packets are rank-deficient, with a later packet that completes the rank
+    (retried, then decoded) or without one (retried, still deficient).
+    Returns the phase and the payloads its packets carry."""
+    b = rng.integers(0, 2, size=(B, F), dtype=np.uint8)
+    count = 4 * B + 200
+    A = codec.coefficient_rows(seed, phase_id, count, B)
+    receptions = []
+
+    def reception(known, got):
+        receptions.append(codec.Reception(np.sort(got), known, np.where(known[:, None], b, 0)))
+
+    for share, extra in ((1.0, 5), (0.0, -1), (0.0, 0), (0.0, 20), (0.4, 3), (0.9, 40)):
+        known = rng.random(B) < share
+        u = B - int(known.sum())
+        reception(known, rng.choice(count, size=max(u + extra, 0), replace=False))
+    for u in (1, 2):
+        known = np.ones(B, bool)
+        known[rng.choice(B, size=u, replace=False)] = False
+        cols = A[:, ~known]
+        # rows of rank at most u - 1 over the unknown columns: 0, or (0, 0) and (1, 1)
+        flat = cols[:, 0] == (0 if u == 1 else cols[:, -1])
+        low, late = np.flatnonzero(flat), np.flatnonzero(~flat)
+        late = late[late > low[u + 19]]
+        reception(known, np.concatenate([low[: u + 20], late[:1]]))  # decodes on the retry
+        reception(known, low[: u + 30])  # stays deficient
+    return (b, phase_id, seed, receptions), codec.encode_payloads(b, count, phase_id, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    widths=st.lists(
+        st.tuples(st.sampled_from([1, 16, 17, 47]), st.sampled_from([0, 1, 3, 5, 6])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_word_systems_decode_as_the_packed_kernel_does(seed, widths):
+    """decode_batch, whose phases with B + F <= 64 decode as words, gives
+    every reception what decode_arrays (packed M4RI over a BLAS right-hand
+    side) gives it, over phases at the 64 - F boundary, below it with B no
+    multiple of 4 or 8 (so the drawn words carry filler bits) and just above
+    it, all in one call: every outcome of ``word_boundary_phase``."""
+    rng = np.random.default_rng(seed)
+    phases, sent = [], []
+    for F, below in widths:
+        for B in (64 - F - below, 64 - F + 1 + below):
+            phase, payloads = word_boundary_phase(rng, B, F, len(phases), [seed, len(phases)])
+            phases.append(phase)
+            sent.append(payloads)
+    assert {codec._is_word(phase[0]) for phase in phases} == {True, False}
+    outcomes = set()
+    for (b, phase_id, seed, receptions), results, payloads in zip(phases, codec.decode_batch(phases), sent):
+        B = len(b)
+        for rec, res in zip(receptions, results):
+            known = {int(i): rec.values[i] for i in np.flatnonzero(rec.known)}
+            one = codec.decode_arrays(rec.indices, payloads[rec.indices], B, phase_id, seed, known)
+            assert (res.ok, res.rank_deficit) == (one.ok, one.rank_deficit)
+            assert res.ok == (res.blocks is not None)
+            if res.ok:
+                assert np.array_equal(res.blocks, one.blocks) and np.array_equal(res.blocks, b)
+            u, m = B - int(rec.known.sum()), len(rec.indices)
+            if u == 0 or m < u:
+                outcomes.add("no unknowns" if u == 0 else "too few")
+                continue
+            sel = rec.indices[: u + 16]  # the first attempt
+            first = codec.decode_arrays(sel, payloads[sel], B, phase_id, seed, known)
+            retried = m > u + 16 and not first.ok
+            outcomes.add(("retried" if retried else "first") + (" decoded" if res.ok else " deficient"))
+    assert outcomes >= {"no unknowns", "too few", "first decoded", "retried decoded", "retried deficient"}
+
+
 def random_phases(seed, F=None):
     """Phases of random receptions, decoded and encoded from source blocks:
     no unknowns, too few packets, rank deficits, full decodes, and the first
@@ -460,59 +536,93 @@ def test_decoder_encodes_the_packets_encode_payloads_sends(monkeypatch):
     a deficient system, holds the coefficient rows coefficient_rows gives
     its packets, less the known blocks' columns, and as right-hand side the
     rows encode_payloads gives those packets, less the known blocks'
-    contribution.  Checked with every right-hand side a table product (size
-    threshold 0) and every one a BLAS product (a threshold above every
-    system); over F of 1, 8 and 17 mixed, and over F of 1, 16, 17 and 65
-    (two words per block in the table product) with B never a multiple of
-    8, so the last coefficient byte carries random filler bits that must
-    add nothing."""
+    contribution: a packed system (``_systems``) as coefficient and
+    right-hand-side bytes, a word system (``_word_systems``, B + F <= 64)
+    as one word per packet, coefficients at bits 0..B-1 and right-hand side
+    at 64-F..63, zero past its packets.  Packed right-hand sides are checked
+    with every one a table product (size threshold 0) and every one a BLAS
+    product (a threshold above every system); over F of 1, 8 and 17 mixed,
+    and over F of 1, 16, 17 and 65 (two words per block in the table
+    product) with B never a multiple of 8, so the drawn rows carry random
+    filler bits that must add nothing.  The late-packet phase is decoded at
+    F = 2 and 62 (word systems, the second at the 64-bit boundary) and at
+    F = 63 (packed)."""
     monkeypatch.setattr(codec, "_FIRST_ATTEMPT_EXTRA", 16)
-    systems = codec._systems
+    systems, word_systems = codec._systems, codec._word_systems
     pack = lambda bits: np.packbits(bits, axis=1, bitorder="little")  # noqa: E731
+
+    def words(bits, shift=0):  # each row of bits as one word, bit j at bit shift + j
+        padded = np.zeros((len(bits), 64), np.uint8)
+        padded[:, shift : shift + bits.shape[1]] = bits
+        return np.packbits(padded.reshape(-1), bitorder="little").view("<u8")
+
+    kinds = set()
     for table_size in (0, 1 << 40):
         monkeypatch.setattr(codec, "_TABLE_PRODUCT_SIZE", table_size)
         for F in (None, 1, 16, 17, 65):
             phases = random_phases(4 if F is None else F, F=F)
-            reads = []
+            late = phases[-1]
+            for wide in (62, 63):
+                receptions = [rec._replace(values=np.zeros((2, wide), np.uint8)) for rec in late[3]]
+                phases.append((blocks_of(2, F=wide), 0, 11, receptions))
+            reads = []  # (phase, reception, packets read, system as built)
 
             def recording(phase, todo):
-                reads.append((phase, todo, systems(phase, todo)))
-                return reads[-1][2]
+                built = systems(phase, todo)
+                assert [ri for ri, _ in todo] == [ri for ri, _ in built]
+                reads.extend((phase, ri, sel, system) for (ri, sel), (_, system) in zip(todo, built))
+                return built
+
+            def recording_words(phases, todo):
+                built = word_systems(phases, todo)
+                reads.extend((phases[gi], ri, sel, (built, s)) for s, (gi, ri, sel) in enumerate(todo))
+                return built
 
             monkeypatch.setattr(codec, "_systems", recording)
+            monkeypatch.setattr(codec, "_word_systems", recording_words)
             codec.decode_batch(phases)
             filler = 0
-            for (blocks, phase_id, seed, receptions), todo, built in reads:
-                B = len(blocks)
-                assert [ri for ri, _ in todo] == [ri for ri, _ in built]
-                for (ri, sel), (_, system) in zip(todo, built):
-                    rec, count = receptions[ri], int(sel.max()) + 1
-                    rows = codec.coefficient_rows(seed, phase_id, count, B)[sel]
-                    sent = codec.encode_payloads(blocks, count, phase_id, seed)[sel]
-                    rhs = sent ^ (rows.astype(np.int64) @ (rec.values * rec.known[:, None]) % 2)
+            for (blocks, phase_id, seed, receptions), ri, sel, system in reads:
+                B, F_ = blocks.shape
+                rec, count = receptions[ri], int(sel.max()) + 1
+                rows = codec.coefficient_rows(seed, phase_id, count, B)[sel]
+                sent = codec.encode_payloads(blocks, count, phase_id, seed)[sel]
+                rhs = sent ^ (rows.astype(np.int64) @ (rec.values * rec.known[:, None]) % 2)
+                rhs = rhs.astype(np.uint8)
+                if isinstance(system, codec._System):
+                    kinds.add("packed")
                     assert np.array_equal(system.coefs, pack(rows * ~rec.known))
-                    assert np.array_equal(system.rhs, pack(rhs.astype(np.uint8)))
+                    assert np.array_equal(system.rhs, pack(rhs))
                     assert np.array_equal(system.unknown, np.flatnonzero(~rec.known))
-                    if B % 8:
-                        drawn = codec._coefficient_bytes(seed, phase_id, count, B)[sel]
-                        filler |= int(np.bitwise_or.reduce(drawn[:, B // 8] >> B % 8))
+                else:
+                    kinds.add("word")
+                    built, s = system
+                    assert B + F_ <= 64 and built.F == F_
+                    got = built.rows[s]
+                    assert np.array_equal(got[: len(sel)], words(rows * ~rec.known) | words(rhs, 64 - F_))
+                    assert not got[len(sel) :].any()
+                if B % 8:
+                    drawn = codec._coefficient_bytes(seed, phase_id, count, B)[sel]
+                    filler |= int(np.bitwise_or.reduce(drawn[:, B // 8] >> B % 8))
             assert filler
-            # the late-packet phase: each reception's first attempt on u+16
+            # each late-packet phase: each reception's first attempt on u+16
             # packets, then a retry on all of its packets
-            late = [sel for phase, todo, _ in reads if phase is phases[-1] for _, sel in todo]
-            receptions = phases[-1][3]
-            assert len(late) == 4
-            assert all(np.array_equal(sel, rec.indices[:18]) for sel, rec in zip(late[:2], receptions))
-            assert all(np.array_equal(sel, rec.indices) for sel, rec in zip(late[2:], receptions))
+            for phase in phases[-3:]:
+                read = [(ri, sel) for p, ri, sel, _ in reads if p is phase]
+                assert [ri for ri, _ in read] == [0, 1, 0, 1]
+                assert all(np.array_equal(sel, rec.indices[:18]) for (_, sel), rec in zip(read[:2], phase[3]))
+                assert all(np.array_equal(sel, rec.indices) for (_, sel), rec in zip(read[2:], phase[3]))
+    assert kinds == {"packed", "word"}
 
 
 def test_large_systems_take_the_table_product(monkeypatch):
     """A criterion-5 decode (u about 600) never calls the BLAS product, and
-    an mc-general-k4-sized one (u < 50) still does: the size threshold
-    splits the benchmark's workloads."""
+    an mc-general-k4 decode (B <= 29, F = 16) calls neither product: its
+    systems fit a word and take the word path.  The row width splits the
+    benchmark's workloads."""
     from cachebc import SystemConfig, estimate_pe
 
-    calls = {"table": 0, "blas": 0}
+    calls = {"table": 0, "blas": 0, "words": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -522,11 +632,12 @@ def test_large_systems_take_the_table_product(monkeypatch):
 
     monkeypatch.setattr(codec, "_table_product", counting("table", codec._table_product))
     monkeypatch.setattr(codec, "_gf2_matmul", counting("blas", codec._gf2_matmul))
+    monkeypatch.setattr(codec, "_solve_words", counting("words", codec._solve_words))
     c5 = SystemConfig(K=2, D=4, F=16, deltas=[0.8, 0.2], rates=[1.0] * 4, memories=[0.8, 0.0], n=4000)
     estimate_pe(c5, "joint-2rx", backoff=0.90, trials=1, seed=20250809)
-    assert calls["table"] >= 16 and calls["blas"] == 0
-    calls.update(table=0, blas=0)
+    assert calls["table"] >= 16 and calls["blas"] == 0 and calls["words"] == 0
+    calls.update(table=0, blas=0, words=0)
     k4 = SystemConfig(K=4, D=4, F=16, deltas=[0.8, 0.6, 0.4, 0.2], rates=[1.0] * 4,
                       memories=[0.5, 0.5, 0.5, 0.0], n=400)
     estimate_pe(k4, "general", backoff=0.60, trials=1, seed=0, demand_cap=4)
-    assert calls["table"] == 0 and calls["blas"] > 0
+    assert calls["table"] == 0 and calls["blas"] == 0 and calls["words"] > 0

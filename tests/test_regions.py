@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
-from cachebc import regions
+from cachebc import regions, simulate
 from cachebc import (
     ConfigError,
     OutOfRegimeError,
@@ -193,7 +193,9 @@ def _slack_fit(kind, rng):
     weights = None
     if kind == "weighted" or rng.integers(2):
         pairs = [(p, j) for p in range(1, cfg.K + 1) for j in range(p, cfg.K + 1)]
-        weights = {pair: float(rng.uniform(0.01, 1.0)) for pair in pairs}
+        drawn = {pair: float(rng.uniform(0.01, 1.0)) for pair in pairs}
+        tags = regions._phase_lp_rows(cfg, K0, t).tags
+        weights = {pair: w for pair, w in drawn.items() if pair in tags}
     return max_min_slack_assignment(cfg, K0, M, t, rate, kind == "force-zero", weights)
 
 
@@ -913,6 +915,28 @@ def test_slack_assignment_rejects_bad_inputs(cfg_3rx, field, value):
     args[field] = {(1, 1): value, (2, 2): 1.0} if field == "weights" else value
     with pytest.raises(ConfigError, match=f"^{field} must be finite"):
         max_min_slack_assignment(cfg_3rx, **args)
+
+
+def test_slack_assignment_rejects_weights_without_a_row(monkeypatch):
+    """A weight on a pair with no capacity row used to be dropped without a
+    word: on the mc-general-k4 config (K0 = 3, t = 1) the rows are tagged
+    (k, k) and (k, k + 1) for k <= 3, so (9, 9) and (1, 3) name none.  The
+    planner weights exactly the tagged pairs."""
+    cfg = SystemConfig(K=4, D=4, F=16, deltas=[0.8, 0.6, 0.4, 0.2], rates=[1.0] * 4,
+                       memories=[0.5, 0.5, 0.5, 0.0], n=400)
+    tags = {(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4)}
+    assert set(filter(None, regions._phase_lp_rows(cfg, 3, 1).tags)) == tags
+    for stray in ({(9, 9): 5.0}, {(1, 1): 2.0, (1, 3): 7.0}):
+        with pytest.raises(ConfigError, match="^weights must name pairs with a capacity row"):
+            max_min_slack_assignment(cfg, 3, 0.5, 1, 0.1, weights=stray)
+    weighted = max_min_slack_assignment(cfg, 3, 0.5, 1, 0.1, weights={(1, 1): 2.0})
+    assert weighted.slack != max_min_slack_assignment(cfg, 3, 0.5, 1, 0.1).slack
+    fits = []
+    fit = simulate.max_min_slack_assignment
+    monkeypatch.setattr(simulate, "max_min_slack_assignment",
+                        lambda *args: fits.append(args) or fit(*args))
+    simulate.plan_scheme(cfg, "general", backoff=0.6)
+    assert fits[-1][1:3] == (3, 0.5) and set(fits[-1][-1]) == tags
 
 
 # -- common demand ------------------------------------------------------------
